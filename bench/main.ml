@@ -576,7 +576,7 @@ let write_resilience_json path =
 (* The --jobs column: quad_rv64 with the check phase sharded across forked
    workers.  Wall-clock speedup needs real cores, so the detected online
    CPU count is recorded next to the timings: on a single-core host the
-   workers serialise and the ratio degrades to fork + pipe overhead, which
+   workers serialise and the ratio degrades to fork + socket overhead, which
    is worth knowing but is not a scheduling regression. *)
 
 let online_cpus () =
@@ -997,8 +997,7 @@ let write_fleet_json path =
   let f3, f3_report = median_of (fun () -> fleet_run 3) in
   let fk, fk_report = median_of (fun () -> fleet_run ~kill:true 2) in
   Unix.close devnull;
-  (* Setup-payload sizes: the spec this workload ships to each worker,
-     plain vs --compress (LZ77 + base64, as it travels in the frame). *)
+  (* Setup-payload size: the spec this workload ships to each worker. *)
   let spec =
     { Fleet.Spec.core = { Fleet.Spec.file = "quad-rv64.dts"; text = Q.core_dts };
       deltas = { Fleet.Spec.file = "quad-rv64.deltas"; text = Q.deltas_src };
@@ -1012,9 +1011,6 @@ let write_fleet_json path =
   in
   let spec_bytes =
     String.length (Llhsc.Json.to_string (Fleet.Spec.to_wire spec))
-  in
-  let spec_bytes_compressed =
-    String.length (Llhsc.Json.to_string (Fleet.Spec.to_wire ~compress:true spec))
   in
   let identical =
     j4_report = base && f2_report = base && f3_report = base && fk_report = base
@@ -1035,8 +1031,6 @@ let write_fleet_json path =
   "kill_recovery_fleet2_ms": %.3f,
   "kill_recovery_overhead_pct": %.1f,
   "spec_wire_bytes": %d,
-  "spec_wire_bytes_compressed": %d,
-  "spec_compression_ratio": %.2f,
   "reports_byte_identical": %b
 }
 |}
@@ -1044,12 +1038,10 @@ let write_fleet_json path =
     (100. *. ((f3 /. j4) -. 1.))
     fk
     (100. *. ((fk /. f2) -. 1.))
-    spec_bytes spec_bytes_compressed
-    (float_of_int spec_bytes /. float_of_int (max 1 spec_bytes_compressed))
-    identical);
+    spec_bytes identical);
   Fmt.pr
-    "wrote %s (%d cpus; j1 %.2f ms, j4 %.2f ms; fleet2 %.2f ms, fleet3 %.2f ms; kill-recovery %.2f ms; spec %d -> %d bytes; identical=%b)@."
-    path cpus j1 j4 f2 f3 fk spec_bytes spec_bytes_compressed identical;
+    "wrote %s (%d cpus; j1 %.2f ms, j4 %.2f ms; fleet2 %.2f ms, fleet3 %.2f ms; kill-recovery %.2f ms; spec %d bytes; identical=%b)@."
+    path cpus j1 j4 f2 f3 fk spec_bytes identical;
   if not identical then failwith "fleet bench: reports diverged from --jobs 1"
 
 (* ------------------------------------------------------------------ *)

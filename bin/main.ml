@@ -44,12 +44,17 @@ let load_tree path =
   | Ok tree -> tree
   | Error errs -> raise (Input_errors (List.map Diag.parse_error errs))
 
-let load_schemas = function
+(* The raw texts of a schema directory's .yaml/.yml files, sorted by
+   file name: what the checker loads, what a journal hashes, and what the
+   fleet ships must be the same bytes in the same order. *)
+let schema_texts = function
   | None -> []
   | Some dir ->
     Sys.readdir dir |> Array.to_list |> List.sort String.compare
     |> List.filter (fun f -> Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-    |> List.map (fun f -> Schema.Binding.of_string (read_file (Filename.concat dir f)))
+    |> List.map (fun f -> read_file (Filename.concat dir f))
+
+let load_schemas dir = List.map Schema.Binding.of_string (schema_texts dir)
 
 let print_findings findings =
   List.iter (fun f -> Fmt.pr "%a@." Llhsc.Report.pp f) findings
@@ -223,39 +228,15 @@ let exit_of_outcome outcome =
   else if Llhsc.Pipeline.ok outcome then 0
   else 1
 
-let budget_of max_conflicts timeout =
-  match (max_conflicts, timeout) with
-  | None, None -> None
-  | _ -> Some (Sat.Solver.budget ?max_conflicts ?time_limit:timeout ())
+(* An optional numeric flag, when given, must be positive. *)
+let positive flag what = function
+  | Some v when v <= 0. -> failwith (Printf.sprintf "%s wants a positive %s, got %g" flag what v)
+  | _ -> ()
 
-(* "drop-lit:3" -> Drop_learnt_literal 3, etc.  A bad spec is an input error
-   (failwith -> Diag FAIL -> exit 2). *)
-let parse_unsound spec =
-  match String.index_opt spec ':' with
-  | Some i -> (
-    let kind = String.sub spec 0 i in
-    let n =
-      match int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1)) with
-      | Some n when n > 0 -> n
-      | _ -> failwith (Printf.sprintf "bad --unsound period in %S (want a positive int)" spec)
-    in
-    match kind with
-    | "drop-lit" -> Sat.Solver.Drop_learnt_literal n
-    | "flip-model" -> Sat.Solver.Flip_model_bit n
-    | "mute-proof" -> Sat.Solver.Mute_proof_step n
-    | "force-unknown" -> Sat.Solver.Force_unknown n
-    | k ->
-      failwith
-        (Printf.sprintf
-           "unknown --unsound kind %S (drop-lit|flip-model|mute-proof|force-unknown)" k))
-  | None ->
-    failwith (Printf.sprintf "bad --unsound spec %S (want KIND:N)" spec)
-
-let retry_of = function
-  | None -> None
-  | Some n when n >= 2 -> Some (Smt.Escalation.ladder ~attempts:n ())
-  | Some n ->
-    failwith (Printf.sprintf "--retry wants at least 2 attempts, got %d" n)
+(* The worker rlimit guards, shared by `pipeline` and `worker`. *)
+let check_guards ~mem_limit ~cpu_limit =
+  positive "--mem-limit" "MiB count" (Option.map float_of_int mem_limit);
+  positive "--cpu-limit" "second count" (Option.map float_of_int cpu_limit)
 
 let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features exclusive
     out_dir max_conflicts timeout certify retry journal_path resume unsound jobs
@@ -266,18 +247,8 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
       (Printf.sprintf "--jobs wants a worker count >= 0 (0 = auto-detect), got %d" jobs);
   if max_respawns < 0 then
     failwith (Printf.sprintf "--max-respawns wants a count >= 0, got %d" max_respawns);
-  (match task_deadline with
-   | Some d when d <= 0. ->
-     failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
-   | _ -> ());
-  (match mem_limit with
-   | Some m when m <= 0 ->
-     failwith (Printf.sprintf "--mem-limit wants a positive MiB count, got %d" m)
-   | _ -> ());
-  (match cpu_limit with
-   | Some c when c <= 0 ->
-     failwith (Printf.sprintf "--cpu-limit wants a positive second count, got %d" c)
-   | _ -> ());
+  positive "--task-deadline" "duration" task_deadline;
+  check_guards ~mem_limit ~cpu_limit;
   (* Without an explicit --task-deadline, derive one from the per-query
      solver timeout: a worker's lease covers a whole task (at most a
      chunk of obligations), so give it a generous multiple plus slack.
@@ -298,19 +269,10 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
      verdict-affecting flags.  Threaded into every journal record's content
      hash, so --resume re-checks when any of it changed. *)
   let inputs_hash =
-    let schema_bytes =
-      match schema_dir with
-      | None -> []
-      | Some dir ->
-        Sys.readdir dir |> Array.to_list |> List.sort String.compare
-        |> List.filter (fun f ->
-               Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-        |> List.map (fun f -> read_file (Filename.concat dir f))
-    in
     Llhsc.Journal.inputs_hash
       ~parts:
         ([ read_file core_path; read_file deltas_path; read_file fm_path ]
-        @ schema_bytes
+        @ schema_texts schema_dir
         @ List.map (String.concat ",") vm_features
         @ exclusive
         @ [ Printf.sprintf "conflicts=%s timeout=%s certify=%b retry=%s unsound=%s"
@@ -363,8 +325,10 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
     Sys.set_signal Sys.sigint prev_int
   in
   match
-    Llhsc.Pipeline.run ~exclusive ?budget:(budget_of max_conflicts timeout) ~certify
-      ?retry:(retry_of retry) ?unsound:(Option.map parse_unsound unsound)
+    Llhsc.Pipeline.run ~exclusive
+      ?budget:(Llhsc.Flags.budget ~max_conflicts ~timeout)
+      ~certify ?retry:(Llhsc.Flags.retry retry)
+      ?unsound:(Option.map Llhsc.Flags.unsound unsound)
       ~inputs_hash ?journal:sink ~resume:resume_entries ~jobs ?task_deadline
       ~max_respawns ?mem_limit ?cpu_limit ?runner
       ~model ~core ~deltas ~schemas_for ~vm_requests:vm_features ()
@@ -487,8 +451,8 @@ let read_secret_file path =
   if s = "" then failwith (Printf.sprintf "secret file %s is empty" path);
   s
 
-let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
-    secret_file compress core_path deltas_path fm_path schema_dir vm_features
+let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
+    core_path deltas_path fm_path schema_dir vm_features
     exclusive out_dir max_conflicts timeout certify retry journal_path resume
     unsound task_deadline =
   handle_errors @@ fun () ->
@@ -498,12 +462,7 @@ let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
     failwith (Printf.sprintf "--min-workers wants a count >= 0, got %d" min_workers);
   if wait_workers < 0. then
     failwith (Printf.sprintf "--wait-workers wants seconds >= 0, got %g" wait_workers);
-  if max_inflight < 1 then
-    failwith (Printf.sprintf "--max-inflight wants a count >= 1, got %d" max_inflight);
-  (match task_deadline with
-   | Some d when d <= 0. ->
-     failwith (Printf.sprintf "--task-deadline wants a positive duration, got %g" d)
-   | _ -> ());
+  positive "--task-deadline" "duration" task_deadline;
   (* A remote lease must always expire eventually — a partitioned worker
      holds its tasks until then — so unlike the local pool there is a
      hard default. *)
@@ -534,20 +493,11 @@ let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
     let explicit = List.map ship_entry ship in
     explicit @ auto (* first match wins on lookup: --ship overrides *)
   in
-  let schemas =
-    match schema_dir with
-    | None -> []
-    | Some dir ->
-      Sys.readdir dir |> Array.to_list |> List.sort String.compare
-      |> List.filter (fun f ->
-             Filename.check_suffix f ".yaml" || Filename.check_suffix f ".yml")
-      |> List.map (fun f -> read_file (Filename.concat dir f))
-  in
   let spec =
     { Fleet.Spec.core = { Fleet.Spec.file = core_path; text = read_file core_path };
       deltas = { Fleet.Spec.file = deltas_path; text = read_file deltas_path };
       model = read_file fm_path;
-      schemas;
+      schemas = schema_texts schema_dir;
       files;
       vms = vm_features;
       exclusive;
@@ -560,7 +510,7 @@ let cmd_dispatch listen min_workers wait_workers max_inflight port_file ship
   in
   let cfg =
     { Fleet.Dispatch.host; port; min_workers; wait_workers; deadline;
-      max_inflight; port_file; secret; compress;
+      port_file; secret;
       (* The task journal rides next to the product journal: the
          product journal replays finished products on --resume, the
          task journal replays finished tasks of the interrupted sweep. *)
@@ -582,14 +532,7 @@ let cmd_worker connect port_file max_reconnects mem_limit cpu_limit secret_file
   handle_errors @@ fun () ->
   if max_reconnects < 0 then
     failwith (Printf.sprintf "--max-reconnects wants a count >= 0, got %d" max_reconnects);
-  (match mem_limit with
-   | Some m when m <= 0 ->
-     failwith (Printf.sprintf "--mem-limit wants a positive MiB count, got %d" m)
-   | _ -> ());
-  (match cpu_limit with
-   | Some c when c <= 0 ->
-     failwith (Printf.sprintf "--cpu-limit wants a positive second count, got %d" c)
-   | _ -> ());
+  check_guards ~mem_limit ~cpu_limit;
   let host, port =
     match connect with
     | Some s ->
@@ -643,14 +586,9 @@ let cmd_serve host port workers queue tenant_quota request_deadline read_timeout
     failwith (Printf.sprintf "--max-request-jobs wants a count >= 1, got %d" max_request_jobs);
   if retry_after < 1 then
     failwith (Printf.sprintf "--retry-after wants seconds >= 1, got %d" retry_after);
-  List.iter
-    (fun (flag, v) ->
-      if v <= 0. then failwith (Printf.sprintf "%s wants a positive duration, got %g" flag v))
-    [ ("--read-timeout", read_timeout); ("--write-timeout", write_timeout) ];
-  (match request_deadline with
-   | Some d when d <= 0. ->
-     failwith (Printf.sprintf "--request-deadline wants a positive duration, got %g" d)
-   | _ -> ());
+  positive "--read-timeout" "duration" (Some read_timeout);
+  positive "--write-timeout" "duration" (Some write_timeout);
+  positive "--request-deadline" "duration" request_deadline;
   List.iter
     (fun (flag, v) ->
       if v < 1024 then failwith (Printf.sprintf "%s wants at least 1024 bytes, got %d" flag v))
@@ -861,7 +799,7 @@ let cmd_sat cnf_path certify unsound =
   handle_errors @@ fun () ->
   let cnf = Sat.Dimacs.parse_file cnf_path in
   let solver, preok = Sat.Dimacs.load ~proof:certify cnf in
-  Option.iter (fun spec -> Sat.Solver.inject_unsoundness solver (parse_unsound spec)) unsound;
+  Option.iter (fun spec -> Sat.Solver.inject_unsoundness solver (Llhsc.Flags.unsound spec)) unsound;
   let result = if preok then Sat.Solver.solve solver else Sat.Solver.Unsat in
   (match result with
    | Sat.Solver.Sat -> Fmt.pr "s SATISFIABLE@."
@@ -1119,11 +1057,6 @@ let dispatch_cmd =
                    --min-workers before the dispatcher degrades to \
                    in-process checking.")
   in
-  let max_inflight =
-    Arg.(value & opt int 1
-         & info [ "max-inflight" ] ~docv:"N"
-             ~doc:"Tasks leased to one worker at a time.")
-  in
   let port_file =
     Arg.(value & opt (some string) None
          & info [ "port-file" ] ~docv:"FILE"
@@ -1156,13 +1089,6 @@ let dispatch_cmd =
                    Workers that cannot authenticate are dropped and \
                    counted, never leased a task.")
   in
-  let compress =
-    Arg.(value & flag
-         & info [ "compress" ]
-             ~doc:"Ship the run spec LZ77-compressed (dependency-free; \
-                   workers detect the encoding automatically).  The spec \
-                   hash is always over the uncompressed form.")
-  in
   Cmd.v
     (Cmd.info "dispatch"
        ~doc:"Run the pipeline with its check phase sharded over socket workers"
@@ -1179,8 +1105,8 @@ let dispatch_cmd =
                duplicated results.  If the fleet shrinks below \
                --min-workers, remaining tasks finish in-process — a run \
                that loses every worker still completes." ])
-    Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers $ max_inflight
-          $ port_file $ ship $ secret_file $ compress $ pl_core $ pl_deltas
+    Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers
+          $ port_file $ ship $ secret_file $ pl_core $ pl_deltas
           $ pl_fm $ schema_dir_arg $ pl_vms
           $ pl_exclusive $ pl_out $ pl_max_conflicts $ pl_timeout $ certify_arg
           $ pl_retry $ pl_journal $ pl_resume $ pl_unsound $ task_deadline)

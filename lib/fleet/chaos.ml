@@ -53,7 +53,7 @@ let default =
     split = 0.0;
   }
 
-let notice fmt = Format.eprintf ("llhsc chaosproxy: " ^^ fmt ^^ "@.")
+let notice fmt = Llhsc.Util.notice "llhsc chaosproxy" fmt
 
 (* xorshift64*: the same generator the fault harness uses, so seeds in
    CI logs mean the same thing everywhere. *)

@@ -1,32 +1,24 @@
 (* The fleet dispatcher: shard a task array across remote socket workers
-   with the same supervision guarantees as the fork pool.
+   through the same supervisor loop as the fork pool ({!Llhsc.Shard.run}).
 
-   Single-threaded nonblocking select loop.  Workers connect, handshake
-   (hello -> setup -> ready, with the spec hash and task count checked
-   so a worker that planned a different run is rejected before it can
-   contribute a result), then receive task indices up to the per-worker
-   in-flight bound.  The {!Llhsc.Supervise} core — shared with the fork
-   pool — owns the pending queue, first-wins results (exactly-once
-   merge), crash counts and poison quarantine; this module owns only the
-   sockets.
-
-   Remote workers cannot be SIGKILLed, so every fault collapses to one
-   remedy: drop the connection and record a crash for each of its
-   leases (reassigning them, or quarantining a task on its second
-   crash).  That covers death, partition, hangs (lease deadline) and
-   protocol violations (bad frame, bad hash, bad result) uniformly.
+   This module owns only what is specific to remote peers: the listening
+   socket, the handshake that makes a connection ready (hello ->
+   [challenge -> auth] -> setup -> ready, with the spec hash and task
+   count checked so a worker that planned a different run is rejected
+   before it can contribute a result), spec shipping with the warm-cache
+   shortcut, and the task journal.  Leases, heartbeats, results,
+   first-wins merge, reassignment, quarantine, deadlines and the
+   in-process sweep are the shared loop's.
 
    Termination never depends on workers: when the live fleet falls below
    the configured floor after the registration grace, the loop exits and
-   a final in-process sweep runs every unresolved task locally — a run
-   that loses ALL its workers still completes, merging to the same bytes
-   (each task is a deterministic closure on a fresh solver, wherever it
-   runs). *)
+   the in-process sweep runs every unresolved task locally — a run that
+   loses ALL its workers still completes, merging to the same bytes. *)
 
 module Json = Llhsc.Json
 module Shard = Llhsc.Shard
 module Supervise = Llhsc.Supervise
-module Util = Llhsc.Util
+module Hmac = Llhsc.Hmac
 
 type config = {
   host : string;
@@ -34,43 +26,19 @@ type config = {
   min_workers : int; (* degrade to in-process below this floor *)
   wait_workers : float; (* registration grace before the floor applies *)
   deadline : float; (* per-task lease, seconds *)
-  max_inflight : int; (* tasks leased to one worker at a time *)
   port_file : string option; (* write the bound port here (for tests) *)
   secret : string option; (* require the HMAC handshake (--secret-file) *)
-  compress : bool; (* ship the spec LZ77-compressed (--compress) *)
   task_journal : string option; (* journal per-task results here *)
   resume : bool; (* replay a matching task journal before dispatching *)
 }
 
-let notice fmt =
-  Format.kfprintf
-    (fun f -> Format.pp_print_newline f (); Format.pp_print_flush f ())
-    Format.err_formatter
-    ("llhsc dispatch: " ^^ fmt)
+let notice fmt = Llhsc.Util.notice "llhsc dispatch" fmt
 
-(* How long a freshly accepted connection may dawdle before Ready; a
-   connected-but-silent peer must not stall degradation forever. *)
-let handshake_timeout = 10.0
-
-type state = Awaiting_hello | Awaiting_auth | Awaiting_ready | Ready
-
-type conn = {
-  fd : Unix.file_descr;
-  peer : string;
-  dec : Frame.Decoder.t;
-  out : Buffer.t; (* encoded frames not yet written *)
-  mutable out_pos : int;
-  mutable state : state;
-  mutable alive : bool;
-  created : float;
-  leases : Supervise.Lease.t;
-  mutable nonces : string * string; (* (nonce_w, nonce_d) during auth *)
-  mutable cached : string list; (* spec hashes the hello advertised *)
-  mutable sent_cached : bool; (* last setup sent was hash-only *)
-  mutable skey : string option; (* session key once authenticated *)
-  mutable seq_in : int; (* next expected worker->dispatcher MAC seq *)
-  mutable seq_out : int; (* next dispatcher->worker MAC seq *)
-}
+(* Where a not-yet-ready connection is in the handshake. *)
+type state =
+  | Awaiting_hello
+  | Awaiting_auth of string * string (* (nonce_w, nonce_d) *)
+  | Awaiting_ready
 
 let env_int name =
   match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
@@ -93,9 +61,8 @@ let peer_name fd =
 
 (* --- protocol messages ------------------------------------------------------ *)
 
-let msg_setup ~compress spec hash =
-  Json.to_string
-    (Json.Obj [ ("setup", Spec.to_wire ~compress spec); ("hash", Json.Str hash) ])
+let msg_setup spec hash =
+  Json.to_string (Json.Obj [ ("setup", Spec.to_wire spec); ("hash", Json.Str hash) ])
 
 (* Bandwidth-aware setup: a worker whose hello advertised this spec hash
    already holds the built task array from an earlier session, so the
@@ -110,9 +77,6 @@ let msg_setup_cached hash =
 
 let setup_choice ~cached ~spec_hash =
   if List.mem spec_hash cached then `Cached else `Ship
-
-let msg_task i = Json.to_string (Json.Obj [ ("task", Json.Int i) ])
-let msg_retire = Json.to_string (Json.Obj [ ("retire", Json.Bool true) ])
 
 (* --- task journal -----------------------------------------------------------
 
@@ -195,15 +159,9 @@ let run cfg ~spec (tasks : Shard.task array) =
   let n = Array.length tasks in
   let st : Shard.result Supervise.t = Supervise.create n in
   let spec_hash = Spec.hash spec in
-  let setup_payload = msg_setup ~compress:cfg.compress spec spec_hash in
-  let restore_sigpipe = Util.ignore_sigpipe () in
-  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let conns = ref ([] : conn list) in
-  let degraded = ref false in
-  (* Auth bookkeeping: hello nonces seen this run (replay rejection) and
-     the rejected-connection count surfaced in the final stats line. *)
+  let setup_payload = msg_setup spec spec_hash in
+  (* Hello nonces seen this run: a replayed hello is rejected. *)
   let seen_nonces : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let auth_rejected = ref 0 in
   (* Spec transfers skipped because the worker's hello advertised a warm
      cache of this spec hash (bandwidth-aware scheduling). *)
   let spec_skips = ref 0 in
@@ -295,439 +253,141 @@ let run cfg ~spec (tasks : Shard.task array) =
       end
   in
 
-  let drop_conn c reason =
-    if c.alive then begin
-      c.alive <- false;
-      conns := List.filter (fun c' -> c' != c) !conns;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
-      List.iter
-        (fun i ->
-          Supervise.Lease.finish c.leases i;
-          match Supervise.record_crash st i with
-          | `Resolved -> ()
-          | `Reassign ->
-            notice "worker %s %s; reassigning task %d (product %s)" c.peer
-              reason i tasks.(i).Shard.owner
-          | `Quarantine k ->
-            notice
-              "task %d (product %s) crashed %d workers; quarantined as poison \
-               task, will retry in-process"
-              i tasks.(i).Shard.owner k)
-        (Supervise.Lease.tasks c.leases)
-    end
+  let f =
+    Shard.fleet ~who:"llhsc dispatch" ~stamp:spec_hash ~deadline:cfg.deadline
+      ~on_fresh:record_task st tasks
   in
 
-  (* Flush as much of the outbuf as the socket accepts right now.  A
-     write error is a lost worker: drop the connection (its leases are
-     reassigned) rather than erroring the run — SIGPIPE is ignored, so a
-     peer vanishing mid-write surfaces here as EPIPE/ECONNRESET. *)
-  let flush_out c =
-    if c.alive then begin
-      let s = Buffer.contents c.out in
-      let len = String.length s in
-      (try
-         let continue = ref true in
-         while !continue && c.out_pos < len do
-           match
-             Util.retry_eintr (fun () ->
-                 Unix.write_substring c.fd s c.out_pos (len - c.out_pos))
-           with
-           | 0 -> continue := false
-           | k -> c.out_pos <- c.out_pos + k
-           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-             ->
-             continue := false
-         done
-       with Unix.Unix_error _ -> drop_conn c "failed mid-write");
-      if c.alive && c.out_pos >= len then begin
-        Buffer.clear c.out;
-        c.out_pos <- 0
-      end
-    end
-  in
-
-  let send c payload =
-    let payload =
-      match c.skey with
-      | Some key ->
-        let sealed = Frame.seal ~key ~seq:c.seq_out payload in
-        c.seq_out <- c.seq_out + 1;
-        sealed
-      | None -> payload
+  (* One connection's handshake, up to {!Shard.admit}.  An
+     unauthenticated peer never sees the spec and never holds a lease. *)
+  let mac key label a b = Hmac.to_hex (Hmac.hmac ~key (label ^ a ^ ":" ^ b)) in
+  let handshake () =
+    let state = ref Awaiting_hello in
+    let cached = ref [] in
+    let sent_cached = ref false in
+    (* Ship the spec, or just its hash when the worker's hello advertised
+       a warm cache for it — the worker rebuilds its task array from the
+       cache and replies ready exactly as if the spec had been shipped. *)
+    let send_setup p =
+      state := Awaiting_ready;
+      match setup_choice ~cached:!cached ~spec_hash with
+      | `Cached ->
+        sent_cached := true;
+        incr spec_skips;
+        notice "worker %s has spec %s cached; skipping spec transfer" (Shard.peer_name p)
+          spec_hash;
+        Shard.send_peer f p (msg_setup_cached spec_hash)
+      | `Ship ->
+        sent_cached := false;
+        Shard.send_peer f p setup_payload
     in
-    Buffer.add_string c.out (Frame.encode payload);
-    flush_out c
-  in
-
-  (* Ship the spec, or just its hash when the worker's hello advertised a
-     warm cache for it — the worker rebuilds its task array from the cache
-     and replies ready exactly as if the spec had been shipped. *)
-  let send_setup c =
-    match setup_choice ~cached:c.cached ~spec_hash with
-    | `Cached ->
-      c.sent_cached <- true;
-      incr spec_skips;
-      notice "worker %s has spec %s cached; skipping spec transfer" c.peer
-        spec_hash;
-      send c (msg_setup_cached spec_hash)
-    | `Ship ->
-      c.sent_cached <- false;
-      send c setup_payload
-  in
-
-  (* Authentication failures are counted and surfaced distinctly — they
-     are a property of the fleet's environment, not of any task — but
-     the remedy is the usual one: the connection dies, and an
-     unauthenticated peer never holds leases, never sees the spec, and
-     never contributes a result. *)
-  let auth_reject c reason =
-    incr auth_rejected;
-    notice "notice[AUTH] %s: %s" c.peer reason;
-    drop_conn c "failed authentication"
-  in
-
-  (* Lease tasks to a ready worker up to the in-flight bound. *)
-  let rec fill c =
-    if c.alive && c.state = Ready
-       && Supervise.Lease.count c.leases < cfg.max_inflight
-    then
-      match Supervise.next st with
-      | None -> ()
-      | Some i ->
-        (* Lease before the (fallible) send: if the write drops the
-           connection, the lease is already on the books and the crash
-           path reassigns it. *)
-        Supervise.Lease.start c.leases i (Unix.gettimeofday ());
-        send c (msg_task i);
-        fill c
-  in
-
-  let fill_all () = List.iter fill !conns in
-
-  let handle_msg c payload =
-    match Json.parse payload with
-    | Error e -> drop_conn c (Printf.sprintf "sent unparsable frame (%s)" e)
-    | Ok j -> (
-      match c.state with
+    fun p j ->
+      match !state with
       | Awaiting_hello -> (
         match Json.member "hello" j with
+        | None -> Shard.drop f p "spoke before hello"
         | Some hello -> (
-          c.cached <-
+          cached :=
             Option.value ~default:[]
               (Option.bind (Json.member "cached" hello) Json.to_str_list);
           match cfg.secret with
-          | None ->
-            c.state <- Awaiting_ready;
-            send_setup c
+          | None -> send_setup p
           | Some secret -> (
-            (* Challenge–response: never ship the spec to a peer that
-               has not proven knowledge of the shared secret. *)
+            (* Challenge–response: never ship the spec to a peer that has
+               not proven knowledge of the shared secret. *)
             match Option.bind (Json.member "nonce" hello) Json.to_str with
-            | None -> auth_reject c "unauthenticated hello (no nonce)"
+            | None -> Shard.auth_reject f p "unauthenticated hello (no nonce)"
             | Some nw when Hashtbl.mem seen_nonces nw ->
-              auth_reject c "replayed hello nonce"
+              Shard.auth_reject f p "replayed hello nonce"
             | Some nw ->
               Hashtbl.add seen_nonces nw ();
-              let nd = Llhsc.Hmac.nonce () in
-              c.nonces <- (nw, nd);
-              c.state <- Awaiting_auth;
-              send c
+              let nd = Hmac.nonce () in
+              state := Awaiting_auth (nw, nd);
+              let mac_d = mac secret "llhsc-disp:" nw nd in
+              Shard.send_peer f p
                 (Json.to_string
                    (Json.Obj
                       [ ( "challenge",
-                          Json.Obj
-                            [ ("nonce", Json.Str nd);
-                              ( "mac",
-                                Json.Str
-                                  (Llhsc.Hmac.to_hex
-                                     (Llhsc.Hmac.hmac ~key:secret
-                                        ("llhsc-disp:" ^ nw ^ ":" ^ nd))) )
-                            ] ) ]))))
-        | None -> drop_conn c "spoke before hello")
-      | Awaiting_auth -> (
+                          Json.Obj [ ("nonce", Json.Str nd); ("mac", Json.Str mac_d) ] ) ])))))
+      | Awaiting_auth (nw, nd) -> (
         match (Json.member "auth" j, cfg.secret) with
         | Some aj, Some secret -> (
-          let nw, nd = c.nonces in
           match Option.bind (Json.member "mac" aj) Json.to_str with
-          | None -> auth_reject c "auth without mac"
-          | Some mac_w ->
-            let expect =
-              Llhsc.Hmac.to_hex
-                (Llhsc.Hmac.hmac ~key:secret ("llhsc-work:" ^ nd ^ ":" ^ nw))
-            in
-            if Llhsc.Hmac.equal expect mac_w then begin
-              c.skey <-
-                Some
-                  (Llhsc.Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd));
-              c.state <- Awaiting_ready;
-              send_setup c
-            end
-            else auth_reject c "bad auth mac")
-        | _ -> auth_reject c "spoke before authenticating")
+          | None -> Shard.auth_reject f p "auth without mac"
+          | Some mac_w when Hmac.equal (mac secret "llhsc-work:" nd nw) mac_w ->
+            Shard.set_session_key p (Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd));
+            send_setup p
+          | Some _ -> Shard.auth_reject f p "bad auth mac")
+        | _ -> Shard.auth_reject f p "spoke before authenticating")
       | Awaiting_ready -> (
         match Json.member "ready" j with
         | Some r ->
           let h = Option.bind (Json.member "spec" r) Json.to_str in
           let k = Option.bind (Json.member "tasks" r) Json.to_int in
-          if h = Some spec_hash && k = Some n then begin
-            c.state <- Ready;
-            notice "worker %s ready (%d in fleet)" c.peer
-              (List.length
-                 (List.filter (fun c' -> c'.state = Ready) !conns));
-            fill c
-          end
+          if h = Some spec_hash && k = Some n then Shard.admit f p
           else
             (* The worker planned a different run (version skew, wrong
                inputs): none of its results would be trustworthy. *)
-            drop_conn c
+            Shard.drop f p
               (Printf.sprintf "planned a different run (spec %s, %s tasks)"
                  (Option.value ~default:"?" h)
                  (match k with Some k -> string_of_int k | None -> "?"))
         | None -> (
           match Option.bind (Json.member "error" j) Json.to_str with
-          | Some msg when c.sent_cached ->
+          | Some msg when !sent_cached ->
             (* The worker advertised this spec but lost its cache (e.g. a
                restart between hello and setup): fall back to shipping in
                full rather than dropping a healthy worker. *)
             notice "worker %s lost its cached spec (%s); shipping in full"
-              c.peer msg;
-            c.sent_cached <- false;
+              (Shard.peer_name p) msg;
+            sent_cached := false;
             decr spec_skips;
-            send c setup_payload
-          | Some msg -> drop_conn c (Printf.sprintf "failed to plan: %s" msg)
-          | None -> drop_conn c "spoke before ready"))
-      | Ready -> (
-        match Json.member "result" j with
-        | Some r -> (
-          let h = Option.bind (Json.member "spec" r) Json.to_str in
-          let i = Option.bind (Json.member "task" r) Json.to_int in
-          let res = Option.bind (Json.member "r" r) Shard.result_of_json in
-          match (h, i, res) with
-          | Some h, Some i, Some res
-            when h = spec_hash && i >= 0 && i < n
-                 && res.Shard.product = tasks.(i).Shard.owner -> (
-            Supervise.Lease.finish c.leases i;
-            match Supervise.resolve st i res with
-            | `Fresh ->
-              record_task i res;
-              fill c
-            | `Duplicate ->
-              (* A reassigned task completing twice (or a duplicated
-                 send): first valid result won, drop this copy. *)
-              notice "duplicate result for task %d from %s ignored" i c.peer;
-              fill c)
-          | _ ->
-            (* A result we cannot trust taints the whole connection. *)
-            drop_conn c "sent an invalid result")
-        | None -> (
-          match Json.member "hb" j with
-          | Some hb -> (
-            let h = Option.bind (Json.member "spec" hb) Json.to_str in
-            match Option.bind (Json.member "task" hb) Json.to_int with
-            | Some i when h = Some spec_hash ->
-              Supervise.Lease.beat c.leases i (Unix.gettimeofday ())
-            | _ -> ())
-          | None -> (
-            match Option.bind (Json.member "error" j) Json.to_str with
-            | Some msg -> drop_conn c (Printf.sprintf "failed: %s" msg)
-            | None -> drop_conn c "sent an unknown message"))))
+            Shard.send_peer f p setup_payload
+          | Some msg -> Shard.drop f p (Printf.sprintf "failed to plan: %s" msg)
+          | None -> Shard.drop f p "spoke before ready"))
   in
 
-  let handle_readable c =
-    match Frame.read_chunk c.fd c.dec with
-    | exception Unix.Unix_error _ -> drop_conn c "failed mid-read"
-    | `Eof -> drop_conn c "disconnected"
-    | `Data _ ->
-      let continue = ref true in
-      while c.alive && !continue do
-        match Frame.Decoder.next c.dec with
-        | `Awaiting -> continue := false
-        | `Corrupt msg -> drop_conn c (Printf.sprintf "sent a corrupt frame (%s)" msg)
-        | `Frame payload -> (
-          match c.skey with
-          | None -> handle_msg c payload
-          | Some key -> (
-            (* Post-handshake, every frame must carry the session MAC
-               with the next sequence number; a forged, spliced or
-               replayed frame is a dead worker, never data. *)
-            match Frame.unseal ~key ~seq:c.seq_in payload with
-            | None -> auth_reject c "frame MAC mismatch mid-stream"
-            | Some body ->
-              c.seq_in <- c.seq_in + 1;
-              handle_msg c body))
-      done
-  in
-
-  let accept_new () =
-    match Util.retry_eintr (fun () -> Unix.accept lfd) with
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let accept () =
+    match Llhsc.Util.retry_eintr (fun () -> Unix.accept lfd) with
     | exception Unix.Unix_error _ -> () (* EAGAIN, ECONNABORTED, ... *)
     | fd, _ ->
-      Unix.set_nonblock fd;
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ());
-      conns :=
-        { fd; peer = peer_name fd; dec = Frame.Decoder.create ();
-          out = Buffer.create 256; out_pos = 0; state = Awaiting_hello;
-          alive = true; created = Unix.gettimeofday ();
-          leases = Supervise.Lease.create (); nonces = ("", "");
-          cached = []; sent_cached = false;
-          skey = None; seq_in = 0; seq_out = 0 }
-        :: !conns
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      Shard.add_remote f ~name:(peer_name fd) ~on_frame:(handshake ()) fd
   in
-
-  (* Remote lease expiry: a worker can't be SIGKILLed like a fork-pool
-     child, so one overdue lease condemns the whole connection — every
-     lease it holds is reassigned (or quarantined). *)
-  let expire now =
-    List.iter
-      (fun c ->
-        if c.state = Ready then (
-          match
-            Supervise.Lease.expired c.leases ~deadline:cfg.deadline ~now
-          with
-          | [] -> ()
-          | i :: _ ->
-            notice
-              "task %d (product %s): deadline of %.1fs expired; dropping hung \
-               worker %s"
-              i tasks.(i).Shard.owner cfg.deadline c.peer;
-            drop_conn c "hung")
-        else if now -. c.created > handshake_timeout then
-          drop_conn c "stalled during handshake")
-      !conns
-  in
-
-  let select_timeout now =
-    let t = ref 0.25 in
-    List.iter
-      (fun c ->
-        if c.state = Ready then
-          match
-            Supervise.Lease.next_expiry c.leases ~deadline:cfg.deadline ~now
-          with
-          | Some dt -> t := Float.min !t (Float.max 0. dt)
-          | None -> ())
-      !conns;
-    !t
-  in
-
   let supervise () =
     (* A dispatcher that cannot listen (port stolen, host misresolved)
-       still completes the run: degrade straight to the in-process
-       sweep instead of erroring — the serve daemon relies on this when
-       it races other jobs for fleet listen addresses. *)
-    (match
-       Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-       Unix.bind lfd (addr_of cfg.host cfg.port);
-       Unix.listen lfd 64;
-       Unix.set_nonblock lfd
-     with
+       still completes the run: the floor trips at once and everything
+       runs in the in-process sweep — the serve daemon relies on this
+       when it races other jobs for fleet listen addresses. *)
+    match
+      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+      Unix.bind lfd (addr_of cfg.host cfg.port);
+      Unix.listen lfd 64;
+      Unix.set_nonblock lfd
+    with
+    | exception (Unix.Unix_error _ | Failure _) ->
+      notice "cannot listen on %s:%d; finishing %d task(s) in-process" cfg.host cfg.port
+        (List.length (Supervise.unresolved st));
+      Shard.run f ~floor:(1, 0.) ~on_floor:ignore ()
     | () ->
       let bound_port =
-        match Unix.getsockname lfd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> cfg.port
+        match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port
       in
-      notice "listening on %s:%d (fleet floor %d, grace %.1fs)" cfg.host
-        bound_port cfg.min_workers cfg.wait_workers;
+      notice "listening on %s:%d (fleet floor %d, grace %.1fs)" cfg.host bound_port
+        cfg.min_workers cfg.wait_workers;
       (* Atomic: a polling reader sees the old port file or the complete
          new one, never a partially-written port number. *)
       Option.iter
-        (fun path ->
-          Llhsc.Durable.write_file ~path (Printf.sprintf "%d\n" bound_port))
-        cfg.port_file
-    | exception (Unix.Unix_error _ | Failure _) ->
-      degraded := true;
-      notice "cannot listen on %s:%d; finishing %d task(s) in-process"
-        cfg.host cfg.port
-        (List.length (Supervise.unresolved st)));
-    let t0 = Unix.gettimeofday () in
-    while Supervise.unfinished st && not !degraded do
-      let now = Unix.gettimeofday () in
-      expire now;
-      let live = List.length !conns in
-      if now -. t0 >= cfg.wait_workers && live < cfg.min_workers then begin
-        degraded := true;
-        notice
-          "fleet below %d worker(s) (%d connected); finishing %d task(s) \
-           in-process"
-          cfg.min_workers live
-          (List.length (Supervise.unresolved st))
-      end
-      else if Supervise.unfinished st then begin
-        let rfds = lfd :: List.map (fun c -> c.fd) !conns in
-        let wfds =
-          List.filter_map
-            (fun c ->
-              if Buffer.length c.out > c.out_pos then Some c.fd else None)
-            !conns
-        in
-        match Unix.select rfds wfds [] (select_timeout now) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | readable, writable, _ ->
-          if List.memq lfd readable then accept_new ();
-          List.iter
-            (fun c ->
-              if c.alive && List.memq c.fd writable then flush_out c)
-            !conns;
-          List.iter
-            (fun c ->
-              if c.alive && List.memq c.fd readable then handle_readable c)
-            !conns;
-          fill_all ()
-      end
-    done;
-    (* Retire the surviving fleet (best effort — a worker that vanishes
-       during retirement has nothing left to contribute). *)
-    List.iter
-      (fun c ->
-        (try
-           Unix.clear_nonblock c.fd;
-           flush_out c;
-           if c.alive then begin
-             (* Retirement rides the session too: an authenticated
-                worker treats an unsealed frame as an injected one. *)
-             let payload =
-               match c.skey with
-               | Some key ->
-                 let s = Frame.seal ~key ~seq:c.seq_out msg_retire in
-                 c.seq_out <- c.seq_out + 1;
-                 s
-               | None -> msg_retire
-             in
-             Frame.write c.fd payload
-           end
-         with Unix.Unix_error _ | Sys_error _ -> ());
-        try Unix.close c.fd with Unix.Unix_error _ -> ())
-      !conns;
-    conns := [];
-    (try Unix.close lfd with Unix.Unix_error _ -> ());
-    (* In-process sweep, exactly as the fork pool's: quarantined poison
-       tasks get their one local retry here, and after degradation every
-       leftover task finishes locally — so the run terminates (exit 0 on
-       clean inputs) even with zero workers ever connecting. *)
-    List.iter
-      (fun i ->
-        if Supervise.is_quarantined st i then
-          notice "task %d (product %s): retrying poison task in-process" i
-            tasks.(i).Shard.owner;
-        match Shard.run_task_guarded tasks.(i) with
-        | r ->
-          (match Supervise.resolve st i r with
-          | `Fresh -> record_task i r
-          | `Duplicate -> ())
-        | exception e ->
-          notice "task %d (product %s): in-process retry failed (%s)" i
-            tasks.(i).Shard.owner (Printexc.to_string e))
-      (Supervise.unresolved st);
-    if !auth_rejected > 0 then
-      notice "auth: rejected %d connection attempt(s)" !auth_rejected;
-    if !spec_skips > 0 then
-      notice "spec cache: skipped %d spec transfer(s) to worker(s) with a \
-              warm cache" !spec_skips
+        (fun path -> Llhsc.Durable.write_file ~path (Printf.sprintf "%d\n" bound_port))
+        cfg.port_file;
+      Shard.run f ~floor:(cfg.min_workers, cfg.wait_workers) ~listen:(lfd, accept) ()
+        ~on_floor:(fun live ->
+          notice "fleet below %d worker(s) (%d connected); finishing %d task(s) in-process"
+            cfg.min_workers live (List.length (Supervise.unresolved st)))
   in
   let finish () =
-    restore_sigpipe ();
+    (try Unix.close lfd with Unix.Unix_error _ -> ());
     (* Flush-and-fsync the task journal even on SIGTERM/SIGINT — the
        interrupt arrives as an exception, and a resumed run replays
        exactly what reached the disk. *)
@@ -735,11 +395,15 @@ let run cfg ~spec (tasks : Shard.task array) =
       (fun oc ->
         try
           flush oc;
-          (try Unix.fsync (Unix.descr_of_out_channel oc)
-           with Unix.Unix_error _ -> ());
+          (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
           close_out oc
         with Sys_error _ -> ())
       tj_oc
   in
-  Fun.protect ~finally:finish supervise;
-  Supervise.results st
+  let results = Fun.protect ~finally:finish supervise in
+  if Shard.auth_rejected f > 0 then
+    notice "auth: rejected %d connection attempt(s)" (Shard.auth_rejected f);
+  if !spec_skips > 0 then
+    notice "spec cache: skipped %d spec transfer(s) to worker(s) with a warm cache"
+      !spec_skips;
+  results

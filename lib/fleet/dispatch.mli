@@ -1,26 +1,23 @@
 (** The fleet dispatcher: shard a task array across remote socket
     workers with the same supervision guarantees — and the same merged
-    bytes — as the fork pool.
+    bytes — as the fork pool, because it runs the same supervisor loop
+    ({!Llhsc.Shard.run}).
 
-    Single-threaded nonblocking select loop.  Workers connect and
-    handshake (hello -> setup -> ready); the ready message must echo the
-    spec hash and task count, so a worker that planned a different run
-    is rejected before it can contribute a result.  Task indices are
-    then leased to ready workers (at most [max_inflight] per worker);
-    the shared {!Llhsc.Supervise} core provides first-wins duplicate
-    suppression (exactly-once merge), reassignment on worker loss, and
-    poison quarantine after two crashes.
-
-    Remote workers cannot be SIGKILLed, so every fault — death,
-    partition, hang (lease past [deadline]), corrupt frame, invalid
-    result — collapses to dropping the connection and crash-recording
-    its leases.  Termination never depends on the fleet: when live
-    connections fall below [min_workers] after the [wait_workers]
-    registration grace (or once only quarantined tasks remain), a final
-    in-process sweep completes every unresolved task locally, so a run
-    that loses all its workers still finishes with the same report.
-    [min_workers = 0] waits for workers indefinitely instead of
-    degrading.
+    This module owns listen/accept and the handshake that makes a
+    connection ready (hello -> setup -> ready); the ready message must
+    echo the spec hash and task count, so a worker that planned a
+    different run is rejected before it can contribute a result.  From
+    ready on, the shared loop leases one task at a time to the worker,
+    merges results first-wins (exactly once), and handles every fault —
+    death, partition, hang (lease past [deadline]), corrupt frame,
+    invalid result — by dropping the connection and reassigning its
+    lease, quarantining a task on its second crash.  Termination never
+    depends on the fleet: when live connections fall below
+    [min_workers] after the [wait_workers] registration grace (or once
+    only quarantined tasks remain), a final in-process sweep completes
+    every unresolved task locally, so a run that loses all its workers
+    still finishes with the same report.  [min_workers = 0] waits for
+    workers indefinitely instead of degrading.
 
     With [secret] set, workers must complete a mutual HMAC-SHA256
     challenge–response before the spec is shipped; unauthenticated or
@@ -45,10 +42,8 @@ type config = {
   min_workers : int;  (** degrade to in-process below this floor *)
   wait_workers : float;  (** registration grace before the floor applies *)
   deadline : float;  (** per-task lease, seconds *)
-  max_inflight : int;  (** tasks leased to one worker at a time *)
   port_file : string option;  (** write the bound port here *)
   secret : string option;  (** require the HMAC handshake ([--secret-file]) *)
-  compress : bool;  (** ship the spec LZ77-compressed ([--compress]) *)
   task_journal : string option;  (** journal per-task results here *)
   resume : bool;  (** replay a matching task journal before dispatching *)
 }

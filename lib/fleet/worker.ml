@@ -14,21 +14,14 @@
    exit (code 0); exhausting reconnects exits 1 so a supervisor can tell
    "fleet finished without me" from "I was told to go".
 
-   Fault hooks (test harness only; task index N):
-     LLHSC_FAULT_KILL_WORKER=N          SIGKILL self when task N arrives
-     LLHSC_FAULT_HANG_WORKER=N          heartbeat, then hang forever
-     LLHSC_FAULT_DROP_CONN_WORKER=N     drop the connection mid-task,
-                                        once per process, then reconnect
-     LLHSC_FAULT_DELAY_RESULT_WORKER=N  sleep ~2s before sending task
-                                        N's result (overlaps the
-                                        dispatcher's lease deadline in
-                                        tests, forcing reassignment
-                                        plus a late duplicate)
-     LLHSC_FAULT_DUP_RESULT_WORKER=N    send task N's result twice *)
+   After the handshake the task loop is {!Llhsc.Shard.serve}, the same
+   one a fork-pool child runs, with the same LLHSC_FAULT_*_WORKER hooks;
+   an injected connection drop makes this worker reconnect. *)
 
 module Json = Llhsc.Json
 module Shard = Llhsc.Shard
 module Util = Llhsc.Util
+module Hmac = Llhsc.Hmac
 
 type config = {
   host : string;
@@ -40,18 +33,7 @@ type config = {
   secret : string option; (* shared fleet secret (--secret-file) *)
 }
 
-let notice fmt =
-  Format.kfprintf
-    (fun f -> Format.pp_print_newline f (); Format.pp_print_flush f ())
-    Format.err_formatter
-    ("llhsc worker: " ^^ fmt)
-
-let env_int name =
-  match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
-
-exception Protocol of string
-exception Retired
-exception Dropped (* injected connection drop; reconnect *)
+let notice fmt = Util.notice "llhsc worker" fmt
 
 let read_port_file path =
   match open_in path with
@@ -119,23 +101,12 @@ let backoff_delay ~seed ~attempt =
   in
   base *. (0.75 +. (0.5 *. u))
 
-(* Blocking: next complete frame, [None] on EOF. *)
-let next_frame fd dec =
-  let rec go () =
-    match Frame.Decoder.next dec with
-    | `Frame p -> Some p
-    | `Corrupt msg -> raise (Protocol msg)
-    | `Awaiting -> (
-      match Frame.read_chunk fd dec with
-      | `Eof -> None
-      | `Data _ -> go ())
-  in
-  go ()
-
 (* One connection's lifetime: hello (with a fresh nonce when a secret
    is configured), the mutual HMAC challenge–response, build (or reuse)
    the task array, then serve task messages until retire/EOF.  Returns
-   [true] when the handshake completed (resets the reconnect budget).
+   [`Retired], [`Dropped] (the injected drop), [`Served] when the
+   connection ended after a completed handshake (which resets the
+   reconnect budget), or [`Eof] when it ended before.
 
    Auth protocol (see DESIGN.md "fleet trust"): the worker's hello
    carries nonce_w; a secret-holding dispatcher replies with
@@ -145,195 +116,96 @@ let next_frame fd dec =
    nonce_w)}}.  Both sides then derive session_key = HMAC(secret,
    "llhsc-sess:" ^ nonce_w ^ ":" ^ nonce_d) and every further frame in
    each direction is sealed with the session key and a per-direction
-   sequence number ({!Frame.seal}).  A secret-configured worker never
-   accepts a spec from a dispatcher that did not complete the
+   sequence number ({!Llhsc.Frame.seal}).  A secret-configured worker
+   never accepts a spec from a dispatcher that did not complete the
    challenge. *)
-let session fd ~secret ~cache ~drop_fired =
-  let kill_at = env_int "LLHSC_FAULT_KILL_WORKER" in
-  let hang_at = env_int "LLHSC_FAULT_HANG_WORKER" in
-  let drop_at = env_int "LLHSC_FAULT_DROP_CONN_WORKER" in
-  let delay_at = env_int "LLHSC_FAULT_DELAY_RESULT_WORKER" in
-  let dup_at = env_int "LLHSC_FAULT_DUP_RESULT_WORKER" in
-  let dec = Frame.Decoder.create () in
-  let handshaken = ref false in
-  let spec_hash = ref "" in
-  let tasks = ref [||] in
-  let skey = ref None in
-  let seq_in = ref 0 and seq_out = ref 0 in
-  let nonce_w =
-    match secret with Some _ -> Some (Llhsc.Hmac.nonce ()) | None -> None
-  in
-  let send_msg j =
-    let body = Json.to_string j in
-    match !skey with
-    | Some key ->
-      Frame.write fd (Frame.seal ~key ~seq:!seq_out body);
-      incr seq_out
-    | None -> Frame.write fd body
-  in
+let session fd ~secret ~mem_limit ~cache =
+  let c = Shard.chan fd in
+  let protocol msg = raise (Shard.Protocol msg) in
+  let nonce_w = Option.map (fun _ -> Hmac.nonce ()) secret in
   (* Advertise which spec hashes we already hold so the dispatcher can
      skip re-shipping the spec body on reconnect (bandwidth-aware
      scheduling; it sends a hash-only setup and we answer from cache). *)
-  send_msg
+  Shard.send c
     (Json.Obj
        [ ( "hello",
            Json.Obj
-             (("pid", Json.Int (Unix.getpid ()))
-             :: ( "cached",
+             ([ ("pid", Json.Int (Unix.getpid ()));
+                ( "cached",
                   Json.List
-                    (match !cache with
-                    | Some (h, _) -> [ Json.Str h ]
-                    | None -> []) )
-             ::
-             (match nonce_w with
-             | Some n -> [ ("nonce", Json.Str n) ]
-             | None -> [])) ) ]);
-  let handle j =
-    match Json.member "challenge" j with
-    | Some cj -> (
-      match (secret, nonce_w) with
-      | Some secret, Some nw ->
-        let nd =
-          match Option.bind (Json.member "nonce" cj) Json.to_str with
-          | Some n -> n
-          | None -> raise (Protocol "challenge without nonce")
-        in
-        let mac_d =
-          match Option.bind (Json.member "mac" cj) Json.to_str with
-          | Some m -> m
-          | None -> raise (Protocol "challenge without mac")
-        in
-        let expect =
-          Llhsc.Hmac.to_hex
-            (Llhsc.Hmac.hmac ~key:secret ("llhsc-disp:" ^ nw ^ ":" ^ nd))
-        in
-        if not (Llhsc.Hmac.equal expect mac_d) then
-          raise (Protocol "dispatcher failed authentication");
-        send_msg
-          (Json.Obj
-             [ ( "auth",
-                 Json.Obj
-                   [ ( "mac",
-                       Json.Str
-                         (Llhsc.Hmac.to_hex
-                            (Llhsc.Hmac.hmac ~key:secret
-                               ("llhsc-work:" ^ nd ^ ":" ^ nw))) ) ] ) ]);
-        skey :=
-          Some (Llhsc.Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd))
-      | _ ->
-        raise (Protocol "dispatcher requires authentication (--secret-file)"))
-    | None -> (
-      match Json.member "setup" j with
-      | Some sj -> (
-        if secret <> None && !skey = None then
-          raise (Protocol "dispatcher did not authenticate");
+                    (match !cache with Some (h, _) -> [ Json.Str h ] | None -> []) ) ]
+             @ match nonce_w with Some n -> [ ("nonce", Json.Str n) ] | None -> []) ) ]);
+  let str name j = Option.bind (Json.member name j) Json.to_str in
+  let mac key label a b = Hmac.to_hex (Hmac.hmac ~key (label ^ a ^ ":" ^ b)) in
+  (* Handshake messages until we have sent ready with the run's spec hash
+     and task array. *)
+  let rec handshake () =
+    match Shard.recv c with
+    | None -> `Eof
+    | Some j when Json.member "retire" j <> None -> `Retired
+    | Some j -> (
+      match (Json.member "challenge" j, Json.member "setup" j) with
+      | Some cj, _ -> (
+        match (secret, nonce_w) with
+        | Some secret, Some nw ->
+          let nd =
+            match str "nonce" cj with Some n -> n | None -> protocol "challenge without nonce"
+          in
+          let mac_d =
+            match str "mac" cj with Some m -> m | None -> protocol "challenge without mac"
+          in
+          if not (Hmac.equal (mac secret "llhsc-disp:" nw nd) mac_d) then
+            protocol "dispatcher failed authentication";
+          Shard.send c
+            (Json.Obj
+               [ ("auth", Json.Obj [ ("mac", Json.Str (mac secret "llhsc-work:" nd nw)) ]) ]);
+          c.key <- Some (Hmac.hmac ~key:secret ("llhsc-sess:" ^ nw ^ ":" ^ nd));
+          handshake ()
+        | _ -> protocol "dispatcher requires authentication (--secret-file)")
+      | None, Some sj -> (
+        if secret <> None && c.key = None then protocol "dispatcher did not authenticate";
         let h =
-          match Option.bind (Json.member "hash" j) Json.to_str with
-          | Some h -> h
-          | None -> raise (Protocol "setup without hash")
-        in
-        let cached_only =
-          match Json.member "cached" sj with
-          | Some (Json.Bool true) -> true
-          | _ -> false
+          match str "hash" j with Some h -> h | None -> protocol "setup without hash"
         in
         let built =
           match !cache with
           | Some (h', ts) when h' = h -> Ok ts
-          | _ ->
+          | _ when Json.member "cached" sj = Some (Json.Bool true) ->
             (* A hash-only setup with a cold cache (e.g. the worker
-               restarted between hello and setup) cannot be planned;
-               the dispatcher falls back to shipping the full spec. *)
-            if cached_only then Error "spec not cached"
-            else (
-              match Spec.of_wire sj with
-              | None -> Error "malformed spec"
-              | Some spec ->
-                if Spec.hash spec <> h then Error "spec hash mismatch"
-                else Spec.build spec)
+               restarted between hello and setup) cannot be planned; the
+               dispatcher falls back to shipping the full spec. *)
+            Error "spec not cached"
+          | _ -> (
+            match Spec.of_wire sj with
+            | None -> Error "malformed spec"
+            | Some spec when Spec.hash spec <> h -> Error "spec hash mismatch"
+            | Some spec -> Spec.build spec)
         in
         match built with
         | Error msg ->
-          send_msg (Json.Obj [ ("error", Json.Str msg) ]);
-          notice "cannot plan the shipped run: %s" msg
+          Shard.send c (Json.Obj [ ("error", Json.Str msg) ]);
+          notice "cannot plan the shipped run: %s" msg;
+          handshake ()
         | Ok ts ->
           cache := Some (h, ts);
-          spec_hash := h;
-          tasks := ts;
-          handshaken := true;
-          send_msg
+          Shard.send c
             (Json.Obj
                [ ( "ready",
-                   Json.Obj
-                     [ ("spec", Json.Str h);
-                       ("tasks", Json.Int (Array.length ts)) ] ) ]))
-      | None -> (
-        match Option.bind (Json.member "task" j) Json.to_int with
-        | Some i ->
-          if i < 0 || i >= Array.length !tasks then
-            raise (Protocol (Printf.sprintf "task %d out of range" i));
-          if kill_at = Some i then Unix.kill (Unix.getpid ()) Sys.sigkill;
-          send_msg
-            (Json.Obj
-               [ ( "hb",
-                   Json.Obj
-                     [ ("task", Json.Int i); ("spec", Json.Str !spec_hash) ] )
-               ]);
-          if hang_at = Some i then
-            while true do
-              Unix.sleep 3600
-            done;
-          if drop_at = Some i && not !drop_fired then begin
-            drop_fired := true;
-            raise Dropped
-          end;
-          let r = Shard.run_task_guarded !tasks.(i) in
-          if delay_at = Some i then Unix.sleepf 2.0;
-          let msg =
-            Json.Obj
-              [ ( "result",
-                  Json.Obj
-                    [ ("task", Json.Int i);
-                      ("spec", Json.Str !spec_hash);
-                      ("r", Shard.result_to_json r) ] ) ]
-          in
-          send_msg msg;
-          if dup_at = Some i then send_msg msg
-        | None ->
-          if Json.member "retire" j <> None then raise Retired
-          else raise (Protocol "unknown message")))
+                   Json.Obj [ ("spec", Json.Str h); ("tasks", Json.Int (Array.length ts)) ] ) ]);
+          `Ready (h, ts))
+      | None, None -> protocol "unknown message")
   in
-  let recv () =
-    match next_frame fd dec with
-    | None -> None
-    | Some payload -> (
-      match !skey with
-      | None -> Some payload
-      | Some key -> (
-        match Frame.unseal ~key ~seq:!seq_in payload with
-        | None -> raise (Protocol "frame MAC mismatch")
-        | Some body ->
-          incr seq_in;
-          Some body))
-  in
-  let rec loop () =
-    match recv () with
-    | None -> ()
-    | Some payload -> (
-      match Json.parse payload with
-      | Error e -> raise (Protocol ("unparsable frame: " ^ e))
-      | Ok j ->
-        handle j;
-        loop ())
-  in
-  loop ();
-  !handshaken
+  match handshake () with
+  | (`Eof | `Retired) as r -> r
+  | `Ready (stamp, tasks) -> (
+    match Shard.serve c ~stamp ?mem_limit tasks with
+    | `Eof -> `Served
+    | (`Retired | `Dropped) as r -> r)
 
 let run cfg =
   Shard.install_guards ~mem_limit:cfg.mem_limit ~cpu_limit:cfg.cpu_limit;
   let restore_sigpipe = Util.ignore_sigpipe () in
   let cache = ref None in
-  let drop_fired = ref false in
   let failures = ref 0 in
   let code = ref 1 in
   (try
@@ -344,17 +216,18 @@ let run cfg =
           Fun.protect
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () -> session fd ~secret:cfg.secret ~cache ~drop_fired)
+            (fun () -> session fd ~secret:cfg.secret ~mem_limit:cfg.mem_limit ~cache)
         with
-        | handshaken -> if handshaken then failures := 0 else incr failures
-        | exception Retired ->
+        | `Served -> failures := 0
+        | `Eof -> incr failures
+        | `Retired ->
           notice "retired by dispatcher";
           code := 0;
           again := false
-        | exception Dropped ->
+        | `Dropped ->
           notice "injected connection drop; reconnecting"
           (* not a failure: the hook wants an immediate reconnect *)
-        | exception Protocol msg ->
+        | exception Shard.Protocol msg ->
           notice "protocol error: %s" msg;
           incr failures
         | exception Unix.Unix_error (e, _, _) ->

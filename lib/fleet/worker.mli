@@ -17,10 +17,10 @@
     refuses specs from a dispatcher that does not prove knowledge of
     the secret, and all post-handshake frames carry session-keyed MACs.
 
-    Fault hooks ([LLHSC_FAULT_{KILL,HANG,DROP_CONN,DELAY_RESULT,
-    DUP_RESULT}_WORKER=N], test harness only) inject worker death,
-    hangs, connection drops, slow results and duplicate results at task
-    [N]; see [worker.ml] for exact semantics. *)
+    After the handshake the task loop is {!Llhsc.Shard.serve}, shared
+    with the fork pool's children, including its [LLHSC_FAULT_*_WORKER]
+    hooks (test harness only); an injected connection drop makes the
+    worker reconnect. *)
 
 type config = {
   host : string;

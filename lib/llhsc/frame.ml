@@ -9,8 +9,6 @@
    result.  The decoder is incremental: feed it whatever [read] returned
    and pull zero or more complete frames out. *)
 
-module Util = Llhsc.Util
-
 (* Generous cap: a shipped spec carries whole input files, but 64 MiB of
    DTS is far beyond anything real.  A length above this means a corrupt
    or hostile peer, not a big message. *)
@@ -101,14 +99,14 @@ let u64be v =
   Bytes.unsafe_to_string b
 
 let seal ~key ~seq body =
-  Llhsc.Hmac.hmac ~key (u64be seq ^ body) ^ body
+  Hmac.hmac ~key (u64be seq ^ body) ^ body
 
 let unseal ~key ~seq payload =
   if String.length payload < mac_len then None
   else begin
     let mac = String.sub payload 0 mac_len in
     let body = String.sub payload mac_len (String.length payload - mac_len) in
-    if Llhsc.Hmac.equal mac (Llhsc.Hmac.hmac ~key (u64be seq ^ body)) then
+    if Hmac.equal mac (Hmac.hmac ~key (u64be seq ^ body)) then
       Some body
     else None
   end

@@ -1,25 +1,29 @@
-(* Supervised worker pool for the sharded check phase.  See the .mli for
+(* Supervised task pool for the sharded check phase.  See the .mli for
    the contract; the key invariants live here:
 
-   - dynamic dispatch: the parent writes one task index per line down a
-     worker's command pipe and the worker answers with a heartbeat line
-     (lease start) followed by one complete JSON result line, flushed
-     immediately, so a crashing worker loses only its in-flight task;
-   - the parent multiplexes every result pipe through a non-blocking
-     [select] drain, tracks a per-worker lease (task + start time),
-     SIGKILLs leases that outlive the task deadline, reaps and respawns
-     dead workers (bounded, exponential backoff), and *reassigns* a dead
-     worker's task instead of degrading it — a task that has crashed two
-     workers is quarantined as a poison task and retried once in-process;
-   - every slow syscall is wrapped in an EINTR retry ([Util.retry_eintr]):
-     a stray signal must not abort the drain;
+   - one transport: every worker, a forked child on a socketpair or a
+     remote fleet peer on TCP, speaks the same CRC-framed JSON messages
+     ({!Frame}) and runs tasks through the same [serve] loop, and one
+     select loop ([run]) supervises them all;
+   - dynamic dispatch: a peer holds at most one lease; it answers a task
+     message with a heartbeat (lease clock restart) and then the result,
+     so a crashing worker loses only its in-flight task;
+   - every fault is handled by one remedy, [drop]: close the fd (a child
+     is also SIGKILLed and reaped) and record a crash for each lease,
+     which reassigns the task or, on its second crash, quarantines it as
+     a poison task for one in-process retry;
    - results are keyed by task index and each task runs on a fresh
-     solver, so no matter which worker (or the parent) finally runs a
-     task, its result — and with it the merged report — is byte-identical
+     solver, so whichever worker (or the parent) finally runs a task,
+     its result — and with it the merged report — is byte-identical
      across crash/reassign schedules;
-   - children exit through [Unix._exit], never [exit]: the parent's
-     [at_exit] handlers and buffered channels must not run or flush a
-     second time in the child. *)
+   - parent-side fds are non-blocking and children are forked only at
+     the top of a round, so a respawned child that reuses a dropped
+     peer's fd number is never read through a stale readable set;
+   - children close their siblings' fds and exit through [Unix._exit],
+     never [exit]: the parent's [at_exit] handlers and buffered channels
+     must not run or flush a second time in the child;
+   - the loop's [finally] SIGKILLs and reaps every child still alive, so
+     an interrupted parent (SIGTERM mid-run) leaves no worker behind. *)
 
 type result = {
   product : string;
@@ -70,7 +74,7 @@ let renumber ~offset r =
 
 (* --- JSON wire format ------------------------------------------------------- *)
 
-(* [Json.t] has no float constructor; times cross the pipe as hexadecimal
+(* [Json.t] has no float constructor; times cross the wire as hexadecimal
    float literals ("%h"), which round-trip exactly. *)
 let float_to_json t = Json.Str (Printf.sprintf "%h" t)
 let float_of_json j = Option.bind (Json.to_str j) float_of_string_opt
@@ -286,22 +290,7 @@ let install_guards ~mem_limit ~cpu_limit =
     ignore (set_rlimit rlimit_cpu secs (secs + 5) : bool)
   | _ -> ()
 
-(* --- fault-injection hooks (read only in worker children) ------------------- *)
-
-let env_int name = Option.bind (Sys.getenv_opt name) int_of_string_opt
-
-(* Deliberately exceed RLIMIT_AS: large untouched allocations raise the
-   address-space watermark without paging in real memory, so the guard
-   trips long before the machine feels it.  Only ever called when a
-   memory limit is installed. *)
-let gobble_memory () =
-  let hoard = ref [] in
-  for _ = 1 to 1024 do
-    hoard := Bytes.create (128 * 1024 * 1024) :: !hoard
-  done;
-  ignore (Sys.opaque_identity !hoard)
-
-(* --- worker child ------------------------------------------------------------ *)
+(* --- running one task -------------------------------------------------------- *)
 
 let degraded_result ~owner (d : Diag.t) =
   {
@@ -322,329 +311,478 @@ let run_task_guarded (t : task) =
     | Some d -> degraded_result ~owner:t.owner d
     | None -> raise e)
 
-(* The worker serves task indices read one per line from the command
-   pipe.  For each it emits a heartbeat line ({"hb": i}) before running
-   the task — the supervisor uses it to start/refresh the lease clock —
-   then the result line.  EOF on the command pipe is the retirement
-   signal. *)
-let worker_main ~(tasks : task array) ~mem_limit ~cpu_limit cmd_rfd res_wfd =
-  install_guards ~mem_limit ~cpu_limit;
-  let ic = Unix.in_channel_of_descr cmd_rfd in
-  let oc = Unix.out_channel_of_descr res_wfd in
-  let kill_at = env_int "LLHSC_FAULT_KILL_WORKER" in
-  let hang_at = env_int "LLHSC_FAULT_HANG_WORKER" in
-  let oom_at = env_int "LLHSC_FAULT_OOM_WORKER" in
-  let emit j =
-    output_string oc (Json.to_string j);
-    output_char oc '\n';
-    flush oc
-  in
-  try
-    let rec serve () =
-      match input_line ic with
-      | exception End_of_file -> Unix._exit 0
-      | line ->
-        let i =
-          match int_of_string_opt (String.trim line) with
-          | Some i when i >= 0 && i < Array.length tasks -> i
-          | _ -> Unix._exit 124
-        in
-        (match kill_at with
-         | Some k when k = i -> Unix.kill (Unix.getpid ()) Sys.sigkill
-         | _ -> ());
-        emit (Json.Obj [ ("hb", Json.Int i) ]);
-        (match hang_at with
-         | Some k when k = i ->
-           (* Simulated livelock: heartbeats stop, the result never
-              comes; only the supervisor's deadline can end this. *)
-           while true do
-             Unix.sleep 3600
-           done
-         | _ -> ());
-        let t = tasks.(i) in
-        (* The OOM hook runs inside the task guard: a tripped memory
-           limit must degrade to error[RESOURCE] exactly like a genuine
-           allocation failure inside the task. *)
-        let t =
-          match oom_at with
-          | Some k when k = i && mem_limit <> None ->
-            { t with run = (fun () -> gobble_memory (); t.run ()) }
-          | _ -> t
-        in
-        let res = run_task_guarded t in
-        emit (Json.Obj [ ("task", Json.Int i); ("result", result_to_json res) ]);
-        serve ()
-    in
-    serve ()
-  with e ->
-    (* Don't unwind into a second copy of the parent: report and die;
-       the supervisor reassigns the in-flight task. *)
-    Printf.eprintf "llhsc worker: %s\n%!" (Printexc.to_string e);
-    Unix._exit 125
+(* --- framed channels ----------------------------------------------------------- *)
 
-(* --- supervisor -------------------------------------------------------------- *)
+exception Protocol of string
 
-(* Task progress (pending queue, first-wins results, crash counts,
-   quarantine) and lease clocks live in the transport-agnostic
-   {!Supervise} core, shared with the socket fleet dispatcher; this
-   record keeps only what is specific to the fork-pipe transport. *)
-type worker = {
-  pid : int;
-  cmd_fd : Unix.file_descr;  (** parent writes task indices here *)
-  res_fd : Unix.file_descr;  (** parent reads heartbeat/result lines here *)
-  mutable acc : string;  (** partial line carried between drains *)
-  leases : Supervise.Lease.t;  (** at most one in-flight task *)
+type chan = {
+  fd : Unix.file_descr;
+  dec : Frame.Decoder.t;
+  mutable key : string option;
+  mutable seq_in : int;
+  mutable seq_out : int;
 }
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then
-      go (off + Util.retry_eintr (fun () -> Unix.write fd b off (len - off)))
-  in
-  go 0
+let chan fd = { fd; dec = Frame.Decoder.create (); key = None; seq_in = 0; seq_out = 0 }
 
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+(* Session MACs ride on every frame once a key is set (see {!Frame.seal});
+   each direction counts its own sequence numbers. *)
+let seal c body =
+  match c.key with
+  | None -> body
+  | Some key ->
+    let sealed = Frame.seal ~key ~seq:c.seq_out body in
+    c.seq_out <- c.seq_out + 1;
+    sealed
+
+let unseal c payload =
+  match c.key with
+  | None -> Some payload
+  | Some key ->
+    let body = Frame.unseal ~key ~seq:c.seq_in payload in
+    if body <> None then c.seq_in <- c.seq_in + 1;
+    body
+
+let send c j = Frame.write c.fd (seal c (Json.to_string j))
+
+let rec recv c =
+  match Frame.Decoder.next c.dec with
+  | `Corrupt msg -> raise (Protocol msg)
+  | `Awaiting -> (
+    match Frame.read_chunk c.fd c.dec with
+    | `Eof -> None
+    | `Data _ -> recv c)
+  | `Frame payload -> (
+    match unseal c payload with
+    | None -> raise (Protocol "frame MAC mismatch")
+    | Some body -> (
+      match Json.parse body with
+      | Ok j -> Some j
+      | Error e -> raise (Protocol ("unparsable frame: " ^ e))))
+
+(* --- worker side ---------------------------------------------------------------- *)
+
+(* Deliberately exceed RLIMIT_AS: large untouched allocations raise the
+   address-space watermark without paging in real memory, so the guard
+   trips long before the machine feels it.  Only ever called when a
+   memory limit is installed. *)
+let gobble_memory () =
+  let hoard = ref [] in
+  for _ = 1 to 1024 do
+    hoard := Bytes.create (128 * 1024 * 1024) :: !hoard
+  done;
+  ignore (Sys.opaque_identity !hoard)
+
+let fault_at name =
+  Option.bind (Sys.getenv_opt ("LLHSC_FAULT_" ^ name ^ "_WORKER")) int_of_string_opt
+
+(* The drop hook fires once per process: a fleet worker reconnects and
+   then serves the task; a forked child exits, so each child drops once. *)
+let drop_fired = ref false
+
+let serve c ~stamp ?mem_limit (tasks : task array) =
+  let kill_at = fault_at "KILL" and hang_at = fault_at "HANG"
+  and oom_at = fault_at "OOM" and drop_at = fault_at "DROP_CONN"
+  and delay_at = fault_at "DELAY_RESULT" and dup_at = fault_at "DUP_RESULT" in
+  let stamped i fields =
+    Json.Obj ([ ("task", Json.Int i); ("spec", Json.Str stamp) ] @ fields)
+  in
+  let rec loop () =
+    match recv c with
+    | None -> `Eof
+    | Some j when Json.member "retire" j <> None -> `Retired
+    | Some j -> (
+      match Option.bind (Json.member "task" j) Json.to_int with
+      | None -> raise (Protocol "unknown message")
+      | Some i when i < 0 || i >= Array.length tasks ->
+        raise (Protocol (Printf.sprintf "task %d out of range" i))
+      | Some i ->
+        if kill_at = Some i then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        send c (Json.Obj [ ("hb", stamped i []) ]);
+        if hang_at = Some i then
+          (* Simulated livelock: heartbeats stop, the result never comes;
+             only the supervisor's deadline can end this. *)
+          while true do
+            Unix.sleep 3600
+          done;
+        if drop_at = Some i && not !drop_fired then begin
+          drop_fired := true;
+          `Dropped
+        end
+        else begin
+          let t = tasks.(i) in
+          (* The OOM hook runs inside the task guard: a tripped memory
+             limit must degrade to error[RESOURCE] exactly like a genuine
+             allocation failure inside the task. *)
+          let t =
+            if oom_at = Some i && mem_limit <> None then
+              { t with run = (fun () -> gobble_memory (); t.run ()) }
+            else t
+          in
+          let r = run_task_guarded t in
+          if delay_at = Some i then Unix.sleepf 2.0;
+          let msg = Json.Obj [ ("result", stamped i [ ("r", result_to_json r) ]) ] in
+          send c msg;
+          if dup_at = Some i then send c msg;
+          loop ()
+        end)
+  in
+  loop ()
+
+(* --- supervisor side ------------------------------------------------------------- *)
+
+(* Task progress (pending queue, first-wins results, crash counts,
+   quarantine) and lease clocks live in the {!Supervise} state machine;
+   a peer adds only its channel, its unsent output and, for a forked
+   child, the pid. *)
+type peer = {
+  ch : chan;
+  name : string;
+  pid : int option;  (** a forked child: SIGKILLed and reaped when dropped *)
+  created : float;
+  out : Buffer.t;  (** encoded frames not yet written *)
+  mutable out_pos : int;
+  mutable alive : bool;
+  mutable ready : bool;  (** children start ready; remote peers after a handshake *)
+  leases : Supervise.Lease.t;  (** at most one in-flight task *)
+  on_frame : peer -> Json.t -> unit;  (** the transport's handshake, before ready *)
+}
+
+type fleet = {
+  who : string;
+  tasks : task array;
+  st : result Supervise.t;
+  stamp : string;
+  deadline : float option;
+  on_fresh : int -> result -> unit;
+  mutable peers : peer list;
+  mutable auth_rejected : int;
+}
+
+let fleet ~who ~stamp ?deadline ?(on_fresh = fun _ _ -> ()) st tasks =
+  { who; tasks; st; stamp; deadline; on_fresh; peers = []; auth_rejected = 0 }
+
+let auth_rejected f = f.auth_rejected
+let peer_name p = p.name
+let set_session_key p key = p.ch.key <- Some key
 
 (* Supervision notices go to stderr only and never into the report:
-   *what* happened to the pool must not change *what the checker
-   found*. *)
-let notice fmt = Printf.eprintf ("llhsc: " ^^ fmt ^^ "\n%!")
+   *what* happened to the pool must not change *what the checker found*. *)
+let note f fmt = Util.notice f.who fmt
 
-let run_supervised ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit
-    (tasks : task array) =
-  let n = Array.length tasks in
-  let st : result Supervise.t = Supervise.create n in
-  let results = Supervise.results st in
-  let respawns = ref 0 in
-  let workers = ref [] in
-  (* A write to a worker that died between select rounds must surface as
-     EPIPE, not kill the supervisor. *)
-  let restore_sigpipe = Util.ignore_sigpipe () in
-  let spawn () =
-    (* Anything buffered before the fork would be flushed once per child
-       on top of once in the parent. *)
-    flush stdout;
-    flush stderr;
-    Format.pp_print_flush Format.std_formatter ();
-    Format.pp_print_flush Format.err_formatter ();
-    let cmd_r, cmd_w = Unix.pipe () in
-    let res_r, res_w = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close cmd_w;
-      Unix.close res_r;
-      (* Close inherited pipe ends of sibling workers: a sibling holding
-         a dead worker's write end open would mask its EOF forever. *)
-      List.iter
-        (fun w ->
-          close_quiet w.cmd_fd;
-          close_quiet w.res_fd)
-        !workers;
-      worker_main ~tasks ~mem_limit ~cpu_limit cmd_r res_w
-    | pid ->
-      Unix.close cmd_r;
-      Unix.close res_w;
-      let w =
-        { pid; cmd_fd = cmd_w; res_fd = res_r; acc = "";
-          leases = Supervise.Lease.create () }
-      in
-      workers := !workers @ [ w ];
-      w
-  in
-  let dispatch w =
-    match Supervise.next st with
-    | None -> ()
-    | Some i -> (
-      match write_all w.cmd_fd (string_of_int i ^ "\n") with
-      | () -> Supervise.Lease.start w.leases i (Unix.gettimeofday ())
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-        (* Worker already dead: put the task back; the EOF on its result
-           pipe triggers the reap/reassign path. *)
-        Supervise.requeue st i)
-  in
-  let fill () =
-    List.iter
-      (fun w -> if Supervise.Lease.count w.leases = 0 then dispatch w)
-      !workers
-  in
-  let reap w =
-    close_quiet w.cmd_fd;
-    close_quiet w.res_fd;
-    (try ignore (Util.retry_eintr (fun () -> Unix.waitpid [] w.pid))
-     with Unix.Unix_error _ -> ());
-    workers := List.filter (fun w' -> w' != w) !workers
-  in
-  let handle_death w =
-    reap w;
+let new_peer ?pid ~name ~on_frame fd =
+  Unix.set_nonblock fd;
+  { ch = chan fd; name; pid; created = Unix.gettimeofday (); out = Buffer.create 256;
+    out_pos = 0; alive = true; ready = pid <> None;
+    leases = Supervise.Lease.create (); on_frame }
+
+let add_remote f ~name ~on_frame fd = f.peers <- f.peers @ [ new_peer ~name ~on_frame fd ]
+
+(* Close the peers' fds, then SIGKILL every child among them and reap
+   it.  All children are killed before the first is reaped, so they die
+   in parallel. *)
+let release ps =
+  List.iter
+    (fun p ->
+      p.alive <- false;
+      try Unix.close p.ch.fd with Unix.Unix_error _ -> ())
+    ps;
+  let pids = List.filter_map (fun p -> p.pid) ps in
+  List.iter (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) pids;
+  List.iter
+    (fun pid ->
+      try ignore (Util.retry_eintr (fun () -> Unix.waitpid [] pid))
+      with Unix.Unix_error _ -> ())
+    pids
+
+let drop f p reason =
+  if p.alive then begin
+    f.peers <- List.filter (fun q -> q != p) f.peers;
+    release [ p ];
     List.iter
       (fun i ->
-        match Supervise.record_crash st i with
+        Supervise.Lease.finish p.leases i;
+        match Supervise.record_crash f.st i with
         | `Resolved -> ()
-        | `Quarantine k ->
-          notice
-            "task %d (product %s): crashed %d workers; quarantined as poison \
-             task, will retry in-process"
-            i tasks.(i).owner k
         | `Reassign ->
-          notice "task %d (product %s): worker died before reporting; reassigning"
-            i tasks.(i).owner)
-      (Supervise.Lease.tasks w.leases);
-    (* Restore lost capacity, but only while there is queued work and
-       respawn budget left. *)
-    if Supervise.has_pending st then
-      if !respawns < max_respawns then begin
-        incr respawns;
-        let backoff = min 0.5 (0.02 *. (2. ** float_of_int (!respawns - 1))) in
-        Unix.sleepf backoff;
-        ignore (spawn () : worker)
-      end
-      else if !workers = [] then
-        notice "worker respawn budget (%d) exhausted; finishing %d task(s) \
-                in-process"
-          max_respawns (Supervise.pending_count st)
-  in
-  let resolve w i r =
-    ignore (Supervise.resolve st i r : [ `Fresh | `Duplicate ]);
-    Supervise.Lease.finish w.leases i;
-    dispatch w
-  in
-  let process_line w line =
-    match Json.parse line with
-    | Error _ -> () (* torn line of a worker killed mid-write *)
-    | Ok j -> (
-      match Json.member "hb" j with
-      | Some (Json.Int i) ->
-        (* Heartbeat: restart the lease clock for the in-flight task. *)
-        Supervise.Lease.beat w.leases i (Unix.gettimeofday ())
-      | _ -> (
-        match (Json.member "task" j, Json.member "result" j) with
-        | Some (Json.Int i), Some rj when i >= 0 && i < n -> (
-          match result_of_json rj with
-          | Some r -> resolve w i r
-          | None -> ())
-        | _ -> ()))
-  in
-  let buf = Bytes.create 65536 in
-  let drain w =
-    match
-      Util.retry_eintr (fun () -> Unix.read w.res_fd buf 0 (Bytes.length buf))
-    with
-    | 0 -> handle_death w
-    | k ->
-      w.acc <- w.acc ^ Bytes.sub_string buf 0 k;
-      let rec split () =
-        match String.index_opt w.acc '\n' with
-        | None -> ()
-        | Some nl ->
-          let line = String.sub w.acc 0 nl in
-          w.acc <- String.sub w.acc (nl + 1) (String.length w.acc - nl - 1);
-          process_line w line;
-          split ()
-      in
-      split ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EBADF), _, _) ->
-      handle_death w
-  in
-  let expire () =
-    match deadline with
+          note f "worker %s %s; reassigning task %d (product %s)" p.name reason i
+            f.tasks.(i).owner
+        | `Quarantine k ->
+          note f
+            "task %d (product %s) crashed %d workers; quarantined as poison task, \
+             will retry in-process"
+            i f.tasks.(i).owner k)
+      (Supervise.Lease.tasks p.leases)
+  end
+
+(* Authentication failures are counted and reported distinctly — they
+   are a property of the fleet's environment, not of any task — but the
+   remedy is the usual one: the connection dies. *)
+let auth_reject f p reason =
+  f.auth_rejected <- f.auth_rejected + 1;
+  note f "notice[AUTH] %s: %s" p.name reason;
+  drop f p "failed authentication"
+
+(* Write as much of the output buffer as the fd accepts right now.  A
+   write error is a lost worker — SIGPIPE is ignored, so a peer vanishing
+   mid-write surfaces here as EPIPE/ECONNRESET. *)
+let flush_out f p =
+  if p.alive then begin
+    let s = Buffer.contents p.out in
+    let len = String.length s in
+    (try
+       let continue = ref true in
+       while !continue && p.out_pos < len do
+         match
+           Util.retry_eintr (fun () ->
+               Unix.write_substring p.ch.fd s p.out_pos (len - p.out_pos))
+         with
+         | k -> p.out_pos <- p.out_pos + k
+         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+           continue := false
+       done
+     with Unix.Unix_error _ -> drop f p "failed mid-write");
+    if p.alive && p.out_pos >= len then begin
+      Buffer.clear p.out;
+      p.out_pos <- 0
+    end
+  end
+
+let send_peer f p body =
+  Buffer.add_string p.out (Frame.encode (seal p.ch body));
+  flush_out f p
+
+(* Lease the next pending task to an idle ready peer.  The lease is on
+   the books before the (fallible) send, so a write that drops the peer
+   reassigns it through the crash path. *)
+let fill f p =
+  if p.alive && p.ready && Supervise.Lease.count p.leases = 0 then
+    match Supervise.next f.st with
     | None -> ()
-    | Some dl ->
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun w ->
-          List.iter
-            (fun i ->
-              notice
-                "task %d (product %s): deadline of %.1fs expired; killing hung \
-                 worker (pid %d)"
-                i tasks.(i).owner dl w.pid;
-              (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-              (* Death arrives as EOF on the result pipe; restart the clock
-                 so the worker isn't re-killed every round meanwhile. *)
-              Supervise.Lease.start w.leases i now)
-            (Supervise.Lease.expired w.leases ~deadline:dl ~now))
-        !workers
-  in
-  let select_timeout () =
-    match deadline with
-    | None -> -1.
-    | Some dl ->
-      let now = Unix.gettimeofday () in
-      let next =
-        List.fold_left
-          (fun acc w ->
-            match Supervise.Lease.next_expiry w.leases ~deadline:dl ~now with
-            | Some dt -> min acc dt
-            | None -> acc)
-          infinity !workers
-      in
-      if next = infinity then -1. else Float.max 0.01 next
-  in
-  let supervise () =
-    for _ = 1 to min jobs n do
-      ignore (spawn () : worker)
-    done;
-    while Supervise.unfinished st && !workers <> [] do
-      fill ();
-      expire ();
-      if Supervise.unfinished st && !workers <> [] then begin
-        let fds = List.map (fun w -> w.res_fd) !workers in
-        let readable, _, _ =
-          Util.retry_eintr (fun () -> Unix.select fds [] [] (select_timeout ()))
-        in
-        List.iter
-          (fun fd ->
-            match List.find_opt (fun w -> w.res_fd = fd) !workers with
-            | Some w -> drain w
-            | None -> ())
-          readable
+    | Some i ->
+      Supervise.Lease.start p.leases i (Unix.gettimeofday ());
+      send_peer f p (Json.to_string (Json.Obj [ ("task", Json.Int i) ]))
+
+let admit f p =
+  p.ready <- true;
+  note f "worker %s ready (%d in fleet)" p.name
+    (List.length (List.filter (fun q -> q.ready) f.peers));
+  fill f p
+
+(* A ready peer's messages.  Every heartbeat and result echoes the run's
+   stamp (the spec hash for the fleet), and a result must name the task's
+   owner: a result we cannot trust taints the whole peer. *)
+let on_message f p j =
+  let stamp_ok m = Option.bind (Json.member "spec" m) Json.to_str = Some f.stamp in
+  let task m = Option.bind (Json.member "task" m) Json.to_int in
+  match (Json.member "result" j, Json.member "hb" j) with
+  | Some m, _ -> (
+    match (task m, Option.bind (Json.member "r" m) result_of_json) with
+    | Some i, Some r
+      when stamp_ok m && i >= 0 && i < Array.length f.tasks
+           && r.product = f.tasks.(i).owner ->
+      Supervise.Lease.finish p.leases i;
+      (match Supervise.resolve f.st i r with
+       | `Fresh -> f.on_fresh i r
+       | `Duplicate ->
+         (* A reassigned task completing twice, or a duplicated send:
+            the first valid result won. *)
+         note f "duplicate result for task %d from %s ignored" i p.name);
+      fill f p
+    | _ -> drop f p "sent an invalid result")
+  | None, Some m -> (
+    match task m with
+    | Some i when stamp_ok m -> Supervise.Lease.beat p.leases i (Unix.gettimeofday ())
+    | _ -> ())
+  | None, None -> (
+    match Option.bind (Json.member "error" j) Json.to_str with
+    | Some msg -> drop f p ("failed: " ^ msg)
+    | None -> drop f p "sent an unknown message")
+
+let on_readable f p =
+  match Frame.read_chunk p.ch.fd p.ch.dec with
+  | exception Unix.Unix_error _ -> drop f p "failed mid-read"
+  | `Eof -> drop f p "disconnected"
+  | `Data _ ->
+    let rec next () =
+      if p.alive then
+        match Frame.Decoder.next p.ch.dec with
+        | `Awaiting -> ()
+        | `Corrupt msg -> drop f p (Printf.sprintf "sent a corrupt frame (%s)" msg)
+        | `Frame payload -> (
+          (* Once a session key is set, a forged, spliced or replayed
+             frame is a dead worker, never data. *)
+          match unseal p.ch payload with
+          | None -> auth_reject f p "frame MAC mismatch mid-stream"
+          | Some body -> (
+            match Json.parse body with
+            | Error e -> drop f p (Printf.sprintf "sent unparsable frame (%s)" e)
+            | Ok j ->
+              if p.ready then on_message f p j else p.on_frame p j;
+              next ()))
+    in
+    next ()
+
+(* How long a remote peer may dawdle before ready: a connected-but-silent
+   peer must not stall degradation forever. *)
+let handshake_timeout = 10.0
+
+(* An overdue lease condemns its peer: a child is killed, a socket
+   dropped, and the lease reassigned either way. *)
+let expire f now =
+  List.iter
+    (fun p ->
+      if not p.ready then begin
+        if now -. p.created > handshake_timeout then drop f p "stalled during handshake"
       end
-    done;
-    (* Retire the pool: closing the command pipes makes idle workers exit;
-       a worker still computing a redundant copy of an already-resolved
-       task finishes, writes, sees EOF and exits — the drain below
-       discards the duplicate bytes and reaps everyone. *)
-    List.iter (fun w -> close_quiet w.cmd_fd) !workers;
-    List.iter
-      (fun w ->
-        (try
-           while
-             Util.retry_eintr (fun () ->
-                 Unix.read w.res_fd buf 0 (Bytes.length buf))
-             > 0
-           do
-             ()
-           done
-         with Unix.Unix_error _ -> ());
-        close_quiet w.res_fd;
-        try ignore (Util.retry_eintr (fun () -> Unix.waitpid [] w.pid))
-        with Unix.Unix_error _ -> ())
-      !workers;
-    workers := [];
-    (* In-process fallback: quarantined poison tasks get exactly one
-       retry here (the fault hooks are read only in children, so a task
-       that only crashed because of an injected fault now succeeds); the
-       same path finishes leftovers after respawn exhaustion.  Identical
-       task closures on a fresh solver keep the results byte-identical
-       to a worker run. *)
-    List.iter
-      (fun i ->
-        if Supervise.is_quarantined st i then
-          notice "task %d (product %s): retrying poison task in-process" i
-            tasks.(i).owner;
-        match run_task_guarded tasks.(i) with
-        | r -> results.(i) <- Some r
-        | exception e ->
-          (* Unknown exception even in-process: give up on this task; the
-             merge phase degrades it to error[WORKER]. *)
-          notice "task %d (product %s): in-process retry failed (%s)" i
-            tasks.(i).owner (Printexc.to_string e))
-      (Supervise.unresolved st)
+      else
+        match f.deadline with
+        | None -> ()
+        | Some dl -> (
+          match Supervise.Lease.expired p.leases ~deadline:dl ~now with
+          | [] -> ()
+          | i :: _ ->
+            note f "task %d (product %s): deadline of %.1fs expired; %s hung worker %s"
+              i f.tasks.(i).owner dl
+              (if p.pid = None then "dropping" else "killing")
+              p.name;
+            drop f p "hung"))
+    f.peers
+
+let select_timeout f ~tick now =
+  let t =
+    match f.deadline with
+    | None -> tick
+    | Some deadline ->
+      List.fold_left
+        (fun t p ->
+          match Supervise.Lease.next_expiry p.leases ~deadline ~now with
+          | Some dt when p.ready -> Float.min t (Float.max 0.01 dt)
+          | _ -> t)
+        tick f.peers
   in
-  Fun.protect ~finally:restore_sigpipe supervise;
-  results
+  if t = infinity then -1. else t
+
+let supervise f ~floor:(min_workers, grace) ~on_floor ~respawn ~listen =
+  let t0 = Unix.gettimeofday () in
+  (* A listening fleet wakes periodically for its grace period and
+     handshake timeouts; a local pool sleeps until a lease is due. *)
+  let tick = if listen = None then infinity else 0.25 in
+  let lfds = match listen with Some (fd, _) -> [ fd ] | None -> [] in
+  let rec round () =
+    let now = Unix.gettimeofday () in
+    expire f now;
+    respawn ();
+    if Supervise.unfinished f.st then begin
+      let live = List.length f.peers in
+      if now -. t0 >= grace && live < min_workers then on_floor live
+      else begin
+        List.iter (fill f) f.peers;
+        let ps = f.peers in
+        let wfds =
+          List.filter_map
+            (fun p -> if Buffer.length p.out > p.out_pos then Some p.ch.fd else None)
+            ps
+        in
+        (match
+           Unix.select (lfds @ List.map (fun p -> p.ch.fd) ps) wfds []
+             (select_timeout f ~tick now)
+         with
+         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+         | readable, writable, _ ->
+           (match listen with
+            | Some (fd, accept) when List.mem fd readable -> accept ()
+            | _ -> ());
+           let ready fds p = p.alive && List.mem p.ch.fd fds in
+           List.iter (fun p -> if ready writable p then flush_out f p) ps;
+           List.iter (fun p -> if ready readable p then on_readable f p) ps);
+        round ()
+      end
+    end
+  in
+  round ()
+
+(* Retire every surviving peer (best effort — a worker that vanishes
+   now has nothing left to contribute).  The retire message rides the
+   session too: an authenticated worker treats an unsealed frame as an
+   injected one. *)
+let retire f =
+  let bye = Json.to_string (Json.Obj [ ("retire", Json.Bool true) ]) in
+  List.iter
+    (fun p ->
+      try
+        Unix.clear_nonblock p.ch.fd;
+        flush_out f p;
+        if p.alive then Frame.write p.ch.fd (seal p.ch bye)
+      with Unix.Unix_error _ -> ())
+    f.peers;
+  release f.peers;
+  f.peers <- []
+
+(* Quarantined poison tasks get exactly one retry here (the fault hooks
+   are read only by [serve], so a task that crashed because of an
+   injected fault now succeeds); the same sweep finishes every leftover
+   after degradation, so a run that loses all its workers still
+   completes with the same bytes. *)
+let sweep f =
+  List.iter
+    (fun i ->
+      if Supervise.is_quarantined f.st i then
+        note f "task %d (product %s): retrying poison task in-process" i f.tasks.(i).owner;
+      match run_task_guarded f.tasks.(i) with
+      | r -> (
+        match Supervise.resolve f.st i r with
+        | `Fresh -> f.on_fresh i r
+        | `Duplicate -> ())
+      | exception e ->
+        (* Unknown exception even in-process: the merge phase degrades
+           this task to error[WORKER]. *)
+        note f "task %d (product %s): in-process retry failed (%s)" i f.tasks.(i).owner
+          (Printexc.to_string e))
+    (Supervise.unresolved f.st)
+
+let run f ~floor ~on_floor ?(respawn = ignore) ?listen () =
+  let restore_sigpipe = Util.ignore_sigpipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      release f.peers;
+      f.peers <- [];
+      restore_sigpipe ())
+    (fun () ->
+      supervise f ~floor ~on_floor ~respawn ~listen;
+      retire f;
+      sweep f);
+  Supervise.results f.st
+
+(* --- the local pool ------------------------------------------------------------ *)
+
+let fork_child f ~mem_limit ~cpu_limit =
+  (* Anything buffered before the fork would be flushed once per child on
+     top of once in the parent. *)
+  flush stdout;
+  flush stderr;
+  Format.pp_print_flush Format.std_formatter ();
+  Format.pp_print_flush Format.err_formatter ();
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.fork () with
+  | 0 ->
+    (* A sibling holding another worker's socket open would mask that
+       worker's EOF forever. *)
+    Unix.close ours;
+    List.iter (fun p -> try Unix.close p.ch.fd with Unix.Unix_error _ -> ()) f.peers;
+    (try
+       install_guards ~mem_limit ~cpu_limit;
+       ignore (serve (chan theirs) ~stamp:f.stamp ?mem_limit f.tasks);
+       Unix._exit 0
+     with e ->
+       (* Don't unwind into a second copy of the parent: report and die;
+          the supervisor reassigns the in-flight task. *)
+       Util.notice "llhsc worker" "%s" (Printexc.to_string e);
+       Unix._exit 125)
+  | pid ->
+    Unix.close theirs;
+    let name = Printf.sprintf "pid %d" pid in
+    f.peers <- f.peers @ [ new_peer ~pid ~name ~on_frame:(fun _ _ -> ()) ours ]
 
 let run_tasks ~jobs ?deadline ?(max_respawns = 8) ?mem_limit ?cpu_limit
     (tasks : task array) =
@@ -658,4 +796,27 @@ let run_tasks ~jobs ?deadline ?(max_respawns = 8) ?mem_limit ?cpu_limit
     Array.iteri (fun i t -> results.(i) <- Some (t.run ())) tasks;
     results
   end
-  else run_supervised ~jobs ~deadline ~max_respawns ~mem_limit ~cpu_limit tasks
+  else begin
+    let f = fleet ~who:"llhsc" ~stamp:"local" ?deadline (Supervise.create n) tasks in
+    (* Keep [jobs] children while work is queued: the first [jobs] forks
+       start the pool, up to [max_respawns] more replace lost ones, with
+       exponential backoff. *)
+    let forked = ref 0 in
+    let respawn () =
+      while
+        List.length f.peers < jobs && Supervise.has_pending f.st
+        && !forked < jobs + max_respawns
+      do
+        if !forked >= jobs then
+          Unix.sleepf (Float.min 0.5 (0.02 *. (2. ** float_of_int (!forked - jobs))));
+        incr forked;
+        fork_child f ~mem_limit ~cpu_limit
+      done
+    in
+    (* The fleet floor with min_workers 1 and no grace: once the respawn
+       budget is spent and no child is left, the rest runs in-process. *)
+    run f ~floor:(1, 0.) ~respawn ()
+      ~on_floor:(fun _ ->
+        note f "worker respawn budget (%d) exhausted; finishing %d task(s) in-process"
+          max_respawns (Supervise.pending_count f.st))
+  end

@@ -1,48 +1,51 @@
-(** Supervised fork-based worker pool for the pipeline's per-product
-    check phase.
+(** The supervised task pool for the pipeline's per-product check phase,
+    and the one task transport it shares with the socket fleet.
 
     The pipeline slices each product's checking work into independent
     tasks (chunks of syntactic obligations, one semantic task per
     product), each of which runs on a {e fresh} solver instance and
     produces a {!result}.  [run_tasks] executes the task list either
-    in-process (`jobs <= 1`) or dynamically dispatched across up to
-    [jobs] forked worker processes; because every task owns its solver,
-    the per-task results — findings, certificate stats, retry logs,
-    isolated diagnostics — are identical either way, and the pipeline's
-    canonical-order merge makes the rendered report byte-identical
-    across job counts {e and} across worker crash/reassignment
-    schedules.
+    in-process (`jobs <= 1`) or across up to [jobs] forked worker
+    processes; because every task owns its solver, the per-task results
+    are identical either way, and the pipeline's canonical-order merge
+    makes the rendered report byte-identical across job counts {e and}
+    across worker crash/reassignment schedules.
 
-    The pool is self-healing rather than deal-once:
+    {b One transport.}  A forked child and a remote fleet worker are the
+    same kind of peer: a framed fd ({!Frame}) carrying JSON messages.
+    The worker side is {!serve} (task → heartbeat → run → result, until
+    retired); the supervisor side is {!run}, one select loop over the
+    {!Supervise} state machine.  What differs by peer kind is explicit
+    and small:
+    - {b start}: a child is forked on a [socketpair(2)] and starts ready
+      (it inherits the task array); a remote socket is accepted by the
+      fleet dispatcher and becomes ready through its handshake ({!admit});
+    - {b expired lease}: a child is SIGKILLed and reaped, a socket
+      dropped; the lease is reassigned either way;
+    - {b respawn}: the local pool replaces lost children (bounded by
+      [max_respawns], exponential backoff); the fleet waits for
+      reconnects;
+    - {b floor}: when fewer than [min_workers] peers are live after the
+      [grace] period, the rest runs in-process.  The local pool is the
+      floor [min_workers = 1] with no grace.
 
-    - {b Leases and deadlines.}  The parent dispatches one task index at
-      a time down a per-worker command pipe; the worker answers with a
-      heartbeat line that starts the lease clock, then a result line.
-      A lease that outlives [deadline] seconds marks the worker hung:
-      it is SIGKILLed, reaped, and its task reassigned.
-    - {b Reassignment and respawn.}  A dead worker's in-flight task goes
-      back on the pending queue and a replacement worker is forked
-      (bounded by [max_respawns], exponential backoff).  A task that has
-      crashed {e two} workers is quarantined as a poison task and
-      retried once in-process after the pool retires; only if that
-      retry also dies does the task stay [None] (degraded to
-      [error[WORKER]] by the merge).
-    - {b Resource guards.}  Workers install [RLIMIT_AS] / [RLIMIT_CPU]
-      from [mem_limit] (MiB) / [cpu_limit] (seconds) after the fork;
-      a tripped guard surfaces as [Out_of_memory] or
-      {!Diag.Resource_limit} and degrades to a per-task
-      [error[RESOURCE]] diagnostic instead of killing the checker.
+    Supervision itself: a peer holds at most one lease; a lease that
+    outlives the deadline marks the worker hung; a lost worker's task
+    goes back to the queue, and a task that has crashed {e two} workers
+    is quarantined and retried once in-process after the pool retires.
+    Workers install [RLIMIT_AS] / [RLIMIT_CPU] guards, so a tripped
+    guard degrades to a per-task [error[RESOURCE]] diagnostic.  Workers
+    never touch the journal: the parent remains the sole journal writer.
 
-    Workers ship results back over a pipe, one JSON line per task
-    ({!result_to_json}).  Workers never touch the journal: the parent
-    remains the sole journal writer.
-
-    Fault hooks (read only in worker children; in-process runs never
-    consult them): [LLHSC_FAULT_KILL_WORKER=N] makes the worker
-    dispatched task [N] SIGKILL itself; [LLHSC_FAULT_HANG_WORKER=N]
-    makes it hang forever after the heartbeat; [LLHSC_FAULT_OOM_WORKER=N]
-    makes it allocate until the memory guard trips (only when
-    [mem_limit] is set). *)
+    Fault hooks (read only by {!serve}, so in-process runs never consult
+    them), each naming a task index [N]:
+    [LLHSC_FAULT_KILL_WORKER] SIGKILLs the worker when task [N] arrives;
+    [LLHSC_FAULT_HANG_WORKER] heartbeats, then hangs forever;
+    [LLHSC_FAULT_OOM_WORKER] allocates until the memory guard trips
+    (only with a memory limit); [LLHSC_FAULT_DROP_CONN_WORKER] drops the
+    connection instead of running the task, once per process;
+    [LLHSC_FAULT_DELAY_RESULT_WORKER] sleeps ~2 s before sending the
+    result; [LLHSC_FAULT_DUP_RESULT_WORKER] sends the result twice. *)
 
 (** Everything one task produced.  Query indices in [certs],
     [cert_failures] and [retried] are local to the task's solver (0-based
@@ -86,7 +89,7 @@ val install_guards : mem_limit:int option -> cpu_limit:int option -> unit
 
 val result_to_json : result -> Json.t
 
-(** [None] on a structurally invalid encoding (e.g. a torn pipe line). *)
+(** [None] on a structurally invalid encoding. *)
 val result_of_json : Json.t -> result option
 
 (** Number of online CPU cores (via [sysconf(_SC_NPROCESSORS_ONLN)]),
@@ -102,10 +105,10 @@ val online_cpus : unit -> int
     own isolation).  This is the reference schedule: every supervised
     run merges to the same bytes.
 
-    [jobs > 1]: the supervised pool described above.  [deadline] is the
-    per-task lease in seconds (no deadline when omitted);
-    [max_respawns] bounds replacement workers across the whole run
-    (default 8); [mem_limit] (MiB) and [cpu_limit] (seconds) install
+    [jobs > 1]: the supervised pool of forked children described above.
+    [deadline] is the per-task lease in seconds (no deadline when
+    omitted); [max_respawns] bounds replacement workers across the whole
+    run (default 8); [mem_limit] (MiB) and [cpu_limit] (seconds) install
     per-worker rlimit guards. *)
 val run_tasks :
   jobs:int ->
@@ -115,3 +118,107 @@ val run_tasks :
   ?cpu_limit:int ->
   task array ->
   result option array
+
+(** {1 Framed channels} *)
+
+(** A peer broke the protocol: a corrupt or unsealable frame, or a
+    message that makes no sense in its state. *)
+exception Protocol of string
+
+(** One end of a framed connection, as the worker side uses it
+    (blocking).  Once [key] is set, every frame in both directions
+    carries a session MAC with per-direction sequence numbers. *)
+type chan = {
+  fd : Unix.file_descr;
+  dec : Frame.Decoder.t;
+  mutable key : string option;
+  mutable seq_in : int;
+  mutable seq_out : int;
+}
+
+val chan : Unix.file_descr -> chan
+
+(** Send one JSON message (sealed when a session key is set). *)
+val send : chan -> Json.t -> unit
+
+(** The next message; [None] on EOF.  Raises {!Protocol}. *)
+val recv : chan -> Json.t option
+
+(** {1 Worker side} *)
+
+(** Serve task messages until retired: for each, a heartbeat, the task
+    through {!run_task_guarded}, then the result, both stamped with
+    [stamp] (the fleet's spec hash).  Returns [`Retired] on a retire
+    message, [`Eof] when the supervisor goes away, and [`Dropped] when
+    the drop hook fires.  [mem_limit] arms the OOM hook.  Raises
+    {!Protocol} on a bad message. *)
+val serve :
+  chan -> stamp:string -> ?mem_limit:int -> task array ->
+  [ `Retired | `Eof | `Dropped ]
+
+(** {1 Supervisor side} *)
+
+(** A supervised run: the task array, its {!Supervise} state, and the
+    live peers. *)
+type fleet
+
+(** One worker connection. *)
+type peer
+
+(** [fleet ~who ~stamp st tasks]: notices are prefixed [who ^ ": "];
+    every heartbeat and result must echo [stamp]; [deadline] is the
+    per-task lease (none when omitted); [on_fresh] sees every result
+    that wins the first-wins merge, including the in-process sweep's. *)
+val fleet :
+  who:string ->
+  stamp:string ->
+  ?deadline:float ->
+  ?on_fresh:(int -> result -> unit) ->
+  result Supervise.t ->
+  task array ->
+  fleet
+
+(** Run the select loop until every task is resolved or quarantined, or
+    the floor [(min_workers, grace)] trips ([on_floor] gets the live
+    peer count); then retire every peer, run the in-process sweep, and
+    return the results.  [respawn] runs every round, before the select;
+    [listen] is a listening fd and its accept handler.  Whatever happens,
+    every forked child is SIGKILLed and reaped before [run] returns or
+    raises. *)
+val run :
+  fleet ->
+  floor:int * float ->
+  on_floor:(int -> unit) ->
+  ?respawn:(unit -> unit) ->
+  ?listen:Unix.file_descr * (unit -> unit) ->
+  unit ->
+  result option array
+
+(** Add an accepted remote connection.  Until {!admit}, its messages go
+    to [on_frame] (the transport's handshake); a peer not ready within
+    10 s is dropped. *)
+val add_remote :
+  fleet -> name:string -> on_frame:(peer -> Json.t -> unit) -> Unix.file_descr -> unit
+
+(** The handshake is done: the peer takes leases from now on. *)
+val admit : fleet -> peer -> unit
+
+(** Queue one message (already a JSON string) for the peer, sealed when
+    it has a session key. *)
+val send_peer : fleet -> peer -> string -> unit
+
+(** Drop the peer (closing it; a child is also killed and reaped) and
+    reassign or quarantine its leases; [reason] completes the notice
+    ["worker NAME REASON; reassigning ..."]. *)
+val drop : fleet -> peer -> string -> unit
+
+(** Count an authentication failure, print [notice[AUTH]], and drop. *)
+val auth_reject : fleet -> peer -> string -> unit
+
+(** Seal every later frame to and from the peer with this session key. *)
+val set_session_key : peer -> string -> unit
+
+val peer_name : peer -> string
+
+(** Authentication failures counted by {!auth_reject}. *)
+val auth_rejected : fleet -> int

@@ -1,30 +1,28 @@
-(* Transport-agnostic supervision core shared by the fork-pipe worker
-   pool (Shard) and the socket fleet dispatcher (Fleet.Dispatch).
+(* Transport-agnostic supervision core, driven by the one supervisor
+   loop (Shard.run) for fork-pool children and fleet sockets alike.
 
    The state machine owns everything about task progress that does NOT
    depend on how workers are reached: the pending queue, the first-wins
    results array (duplicate suppression), per-task crash counts with
-   poison quarantine, and per-worker lease clocks.  The transports keep
-   only what is theirs — pids and pipes on one side, sockets and frame
-   decoders on the other — and drive this machine through a handful of
-   transitions:
+   poison quarantine, and per-worker lease clocks.  The loop keeps only
+   what is the peers' — fds, frame decoders, child pids — and drives
+   this machine through a handful of transitions:
 
      dispatch    -> Lease.start        (clock begins at hand-off)
      heartbeat   -> Lease.beat         (worker accepted; clock restarts)
      result      -> resolve            (`Fresh merges, `Duplicate drops)
      worker dies -> record_crash per leased unresolved task
                      (`Reassign requeues front; `Quarantine poisons)
-     deadline    -> Lease.expired      (transport kills/drops the worker)
+     deadline    -> Lease.expired      (the loop kills/drops the worker)
 
    Keeping one implementation is not just deduplication: the
    byte-identity argument (any fault schedule merges to the --jobs 1
    report) rests on first-wins resolution and deterministic task
-   content, and both transports must share it exactly. *)
+   content, and every peer kind must share it exactly. *)
 
 module Lease = struct
-  (* In-flight (task, clock-start) pairs of ONE worker.  The fork pool
-     holds at most one; the fleet dispatcher up to its per-worker
-     in-flight bound. *)
+  (* In-flight (task, clock-start) pairs of ONE worker; the loop leases
+     at most one per worker. *)
   type t = { mutable items : (int * float) list }
 
   let create () = { items = [] }
@@ -73,7 +71,6 @@ let create n =
     done_count = 0;
   }
 
-let task_count t = t.n
 let results t = t.results
 let has_pending t = t.pending <> []
 let pending_count t = List.length t.pending
@@ -101,7 +98,6 @@ let resolve t i r =
     `Fresh
   end
 
-let crashes t i = t.crash_count.(i)
 let is_quarantined t i = t.poisoned.(i)
 
 let record_crash t i =

@@ -25,6 +25,11 @@ let ignore_sigpipe () =
   let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   fun () -> ignore (Sys.signal Sys.sigpipe prev : Sys.signal_behavior)
 
+(* Through the Format stderr buffer, flushed per line, so notices
+   interleave correctly with the CLI's own Fmt.epr diagnostics. *)
+let notice ?(on = true) who fmt =
+  Printf.ksprintf (fun m -> if on then Format.eprintf "%s: %s@." who m) fmt
+
 (* --- CRC32 ------------------------------------------------------------------ *)
 
 (* Standard table-driven CRC-32 (IEEE 802.3, reflected polynomial

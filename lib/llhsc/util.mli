@@ -12,10 +12,15 @@ val retry_eintr : (unit -> 'a) -> 'a
 
 (** Ignore SIGPIPE and return a closure restoring the previous
     disposition.  Call at the start of any code path that writes to
-    pipes or sockets whose peer may vanish (shard supervisor, serve
-    daemon, fleet dispatcher/worker): a disconnect mid-write must
+    pipes or sockets whose peer may vanish (the supervisor loop, serve
+    daemon, fleet worker): a disconnect mid-write must
     surface as [EPIPE] on that one descriptor, not kill the process. *)
 val ignore_sigpipe : unit -> unit -> unit
+
+(** [notice who fmt ...] prints one ["who: message"] line on stderr and
+    flushes it; nothing when [on] is [false].  The one supervision and
+    daemon logger: its lines go to stderr only, never into a report. *)
+val notice : ?on:bool -> string -> ('a, unit, string, unit) format4 -> 'a
 
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a whole string —
     [crc32 "123456789" = 0xCBF43926].  Guards journal lines and fleet

@@ -294,11 +294,7 @@ let run cfg =
       shed_drain = 0; refused = 0; timeouts = 0; crashes = 0; disconnects = 0;
       read_timeouts = 0; backend_fleet = 0; backend_local = 0 }
   in
-  let note fmt =
-    Printf.ksprintf
-      (fun m -> if cfg.verbose then (prerr_string ("llhsc serve: " ^ m ^ "\n"); flush stderr))
-      fmt
-  in
+  let note fmt = Llhsc.Util.notice ~on:cfg.verbose "llhsc serve" fmt in
   (* Signal plumbing: the handler only flips a ref and pokes the
      self-pipe; everything else happens at the top of the loop. *)
   let drain_requested = ref false in

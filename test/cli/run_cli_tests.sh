@@ -356,6 +356,43 @@ cmp -s "$TMP/j1.out" "$TMP/hang.out" || fail "hung-worker report differs from --
 grep -q "deadline" "$TMP/hang.err" || fail "expected deadline-expiry notice on stderr"
 grep -q "error\[WORKER\]" "$TMP/hang.out" && fail "hung worker left error[WORKER]"
 
+echo "# supervision: a SIGTERMed pool leaves no worker running"
+# setsid execs in place (a background job of a non-interactive shell leads
+# no process group), so the pipeline leads a group of its own: the group
+# empties only once the parent has killed and reaped its workers.  Task 0
+# hangs with no deadline, so until the signal both workers stay up.
+(export LLHSC_FAULT_HANG_WORKER=0; exec setsid "$LLHSC" pipeline \
+  --core "$FIXTURES/custom-sbc.dts" --deltas "$FIXTURES/custom-sbc.deltas" \
+  --model "$FIXTURES/custom-sbc.fm" --schemas "$FIXTURES/schemas" \
+  --vm "memory,cpu@0,uart@20000000,uart@30000000,veth0" \
+  --vm "memory,cpu@1,uart@20000000,uart@30000000,veth1" \
+  --exclusive cpus --jobs 2 > /dev/null 2> "$TMP/term.err") &
+pool=$!
+tries=0
+until [ "$(pgrep -g "$pool" | wc -l)" -ge 3 ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 200 ]; then
+    pkill -KILL -g "$pool" || true
+    fail "pool never came up in its own process group"
+  fi
+  sleep 0.05
+done
+kill -TERM "$pool"
+set +e
+wait "$pool"
+rc=$?
+set -e
+[ "$rc" -eq 143 ] || fail "SIGTERMed pool should exit 143 (got $rc)"
+tries=0
+while pgrep -g "$pool" > /dev/null; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 20 ]; then
+    pkill -KILL -g "$pool" || true
+    fail "pool workers still running 1 s after the parent exited"
+  fi
+  sleep 0.05
+done
+
 echo "# supervision: respawn budget exhaustion falls back to in-process checking"
 (export LLHSC_FAULT_KILL_WORKER=0; run_pipeline_at 2 --max-respawns 0 \
   > "$TMP/exhaust.out" 2> "$TMP/exhaust.err") \

@@ -1,8 +1,8 @@
 (* Unit tests for the fleet building blocks: CRC32, the frame codec and
    its session MACs, SHA-256/HMAC against the published vectors, the
-   LZ77 spec compressor, the shared supervision core, the journal's
-   per-line checksums, and the spec's JSON round-trip — plus qcheck
-   properties pushing adversarial bytes through the decoder.  The socket
+   shared supervision core, the journal's per-line checksums, and the
+   spec's JSON round-trip — plus qcheck properties pushing adversarial
+   bytes through the decoder.  The socket
    paths themselves are exercised by fleet_smoke.ml with real
    processes. *)
 
@@ -11,6 +11,7 @@ module Journal = Llhsc.Journal
 module Supervise = Llhsc.Supervise
 module Json = Llhsc.Json
 module Hmac = Llhsc.Hmac
+module Frame = Llhsc.Frame
 
 let contains haystack needle =
   let hl = String.length haystack and nl = String.length needle in
@@ -37,20 +38,20 @@ let test_crc_incremental () =
 (* --- frame codec ------------------------------------------------------------- *)
 
 let next_frame dec =
-  match Fleet.Frame.Decoder.next dec with
+  match Frame.Decoder.next dec with
   | `Frame p -> Some p
   | `Awaiting -> None
   | `Corrupt m -> Alcotest.failf "unexpected corrupt: %s" m
 
 let test_frame_roundtrip () =
-  let dec = Fleet.Frame.Decoder.create () in
+  let dec = Frame.Decoder.create () in
   let payloads = [ "alpha"; ""; String.make 100_000 'x'; "{\"task\":3}" ] in
-  let wire = String.concat "" (List.map Fleet.Frame.encode payloads) in
+  let wire = String.concat "" (List.map Frame.encode payloads) in
   (* Feed byte by byte: boundaries must not matter. *)
   let got = ref [] in
   String.iteri
     (fun i _ ->
-      Fleet.Frame.Decoder.feed dec wire i 1;
+      Frame.Decoder.feed dec wire i 1;
       match next_frame dec with Some p -> got := p :: !got | None -> ())
     wire;
   (* Drain anything completed by the last byte. *)
@@ -65,19 +66,19 @@ let test_frame_roundtrip () =
   Alcotest.(check (list string)) "all frames, in order" payloads (List.rev !got)
 
 let test_frame_corruption () =
-  let wire = Fleet.Frame.encode "hello fleet" in
+  let wire = Frame.encode "hello fleet" in
   (* Flip one payload byte: checksum must catch it. *)
   let b = Bytes.of_string wire in
   Bytes.set b (String.length wire - 1) '!';
-  let dec = Fleet.Frame.Decoder.create () in
-  Fleet.Frame.Decoder.feed dec (Bytes.to_string b) 0 (Bytes.length b);
-  (match Fleet.Frame.Decoder.next dec with
+  let dec = Frame.Decoder.create () in
+  Frame.Decoder.feed dec (Bytes.to_string b) 0 (Bytes.length b);
+  (match Frame.Decoder.next dec with
    | `Corrupt m -> Alcotest.(check bool) "mentions checksum" true (contains m "checksum")
    | `Frame _ | `Awaiting -> Alcotest.fail "corrupt frame accepted");
   (* An absurd declared length is rejected without buffering. *)
-  let dec = Fleet.Frame.Decoder.create () in
-  Fleet.Frame.Decoder.feed dec "\xff\xff\xff\xff????" 0 8;
-  (match Fleet.Frame.Decoder.next dec with
+  let dec = Frame.Decoder.create () in
+  Frame.Decoder.feed dec "\xff\xff\xff\xff????" 0 8;
+  (match Frame.Decoder.next dec with
    | `Corrupt m -> Alcotest.(check bool) "mentions size" true (contains m "oversized")
    | `Frame _ | `Awaiting -> Alcotest.fail "oversized frame accepted")
 
@@ -127,79 +128,26 @@ let test_constant_time_equal () =
 
 let test_seal_unseal () =
   let key = Hmac.sha256 "session key" in
-  let sealed = Fleet.Frame.seal ~key ~seq:7 "payload bytes" in
+  let sealed = Frame.seal ~key ~seq:7 "payload bytes" in
   Alcotest.(check (option string)) "roundtrip" (Some "payload bytes")
-    (Fleet.Frame.unseal ~key ~seq:7 sealed);
+    (Frame.unseal ~key ~seq:7 sealed);
   Alcotest.(check (option string)) "empty body" (Some "")
-    (Fleet.Frame.unseal ~key ~seq:0 (Fleet.Frame.seal ~key ~seq:0 ""));
+    (Frame.unseal ~key ~seq:0 (Frame.seal ~key ~seq:0 ""));
   (* A replayed or reordered frame carries the wrong sequence number. *)
   Alcotest.(check (option string)) "wrong seq" None
-    (Fleet.Frame.unseal ~key ~seq:8 sealed);
+    (Frame.unseal ~key ~seq:8 sealed);
   Alcotest.(check (option string)) "wrong key" None
-    (Fleet.Frame.unseal ~key:(Hmac.sha256 "other") ~seq:7 sealed);
+    (Frame.unseal ~key:(Hmac.sha256 "other") ~seq:7 sealed);
   let b = Bytes.of_string sealed in
   Bytes.set b (Bytes.length b - 1) 'X';
   Alcotest.(check (option string)) "tampered body" None
-    (Fleet.Frame.unseal ~key ~seq:7 (Bytes.to_string b));
+    (Frame.unseal ~key ~seq:7 (Bytes.to_string b));
   let b = Bytes.of_string sealed in
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
   Alcotest.(check (option string)) "tampered mac" None
-    (Fleet.Frame.unseal ~key ~seq:7 (Bytes.to_string b));
+    (Frame.unseal ~key ~seq:7 (Bytes.to_string b));
   Alcotest.(check (option string)) "payload shorter than a MAC" None
-    (Fleet.Frame.unseal ~key ~seq:0 "short")
-
-(* --- lz77 + base64 ----------------------------------------------------------- *)
-
-let lz_roundtrip s =
-  match Fleet.Lz.decompress (Fleet.Lz.compress s) with
-  | Some s' -> Alcotest.(check string) "roundtrip" s s'
-  | None -> Alcotest.fail "compressed output does not decompress"
-
-let test_lz_known () =
-  List.iter lz_roundtrip
-    [ ""; "a"; "abcabcabcabcabcabc"; String.make 300_000 'x';
-      "the quick brown fox jumps over the lazy dog" ];
-  (* A spec-shaped repetitive payload must actually shrink. *)
-  let spec =
-    String.concat ""
-      (List.init 200 (fun i ->
-           Printf.sprintf "{\"vm\":[\"memory\",\"cpu@%d\",\"uart@20000000\"]}" i))
-  in
-  Alcotest.(check bool) "repetitive input shrinks >2x" true
-    (String.length (Fleet.Lz.compress spec) * 2 < String.length spec);
-  (* Truncated stream: a match token with its distance bytes cut off. *)
-  Alcotest.(check (option string)) "truncated stream rejected" None
-    (Fleet.Lz.decompress "\x80");
-  Alcotest.(check (option string)) "b64 roundtrip" (Some "any + carnal pleasure.")
-    (Fleet.Lz.of_base64 (Fleet.Lz.to_base64 "any + carnal pleasure."));
-  Alcotest.(check (option string)) "b64 garbage rejected" None
-    (Fleet.Lz.of_base64 "!!!!")
-
-let prop_lz_roundtrip_random =
-  QCheck.Test.make ~name:"lz roundtrip (random bytes)" ~count:300 QCheck.string
-    (fun s -> Fleet.Lz.decompress (Fleet.Lz.compress s) = Some s)
-
-(* Repetitive inputs drive the match-emitting paths (random bytes almost
-   never produce a 4-byte repeat). *)
-let repetitive_string =
-  QCheck.make
-    ~print:(fun s -> Printf.sprintf "<%d bytes> %S" (String.length s) s)
-    QCheck.Gen.(
-      map
-        (fun parts ->
-          String.concat ""
-            (List.concat_map (fun (s, n) -> List.init n (fun _ -> s)) parts))
-        (list_size (int_range 0 30)
-           (pair (string_size (int_range 0 12)) (int_range 1 60))))
-
-let prop_lz_roundtrip_repetitive =
-  QCheck.Test.make ~name:"lz roundtrip (repetitive)" ~count:300 repetitive_string
-    (fun s -> Fleet.Lz.decompress (Fleet.Lz.compress s) = Some s)
-
-let prop_lz_decompress_total =
-  QCheck.Test.make ~name:"lz decompress never raises" ~count:500 QCheck.string
-    (fun s ->
-      match Fleet.Lz.decompress s with Some _ | None -> true)
+    (Frame.unseal ~key ~seq:0 "short")
 
 (* --- adversarial frames ------------------------------------------------------ *)
 
@@ -208,10 +156,10 @@ let prop_lz_decompress_total =
    must neither raise nor hand back a payload the MAC layer accepts. *)
 
 let drain_frames wire =
-  let dec = Fleet.Frame.Decoder.create () in
-  Fleet.Frame.Decoder.feed dec wire 0 (String.length wire);
+  let dec = Frame.Decoder.create () in
+  Frame.Decoder.feed dec wire 0 (String.length wire);
   let rec go acc =
-    match Fleet.Frame.Decoder.next dec with
+    match Frame.Decoder.next dec with
     | `Frame p -> go (p :: acc)
     | `Awaiting | `Corrupt _ -> List.rev acc
   in
@@ -241,27 +189,27 @@ let prop_adversarial_frames =
         match mode with
         | 0 -> payload (* raw garbage *)
         | 1 ->
-          let w = Fleet.Frame.encode payload in
+          let w = Frame.encode payload in
           String.sub w 0 (a mod String.length w) (* truncated frame *)
         | 2 ->
-          let w = Fleet.Frame.encode payload in
+          let w = Frame.encode payload in
           flip w (a mod String.length w) mask (* one flipped byte *)
         | 3 -> "\xff\xff\xff\xff" ^ payload (* absurd declared length *)
         | _ ->
           (* Valid frame around a MAC-tampered sealed payload. *)
-          let sealed = Fleet.Frame.seal ~key ~seq:3 payload in
-          Fleet.Frame.encode (flip sealed (a mod Fleet.Frame.mac_len) mask)
+          let sealed = Frame.seal ~key ~seq:3 payload in
+          Frame.encode (flip sealed (a mod Frame.mac_len) mask)
       in
       let frames = drain_frames wire in
       match mode with
       | 4 -> (
         (* The frame itself is intact, so it decodes — but the MAC layer
            must refuse it (and accept the untampered original). *)
-        Fleet.Frame.unseal ~key ~seq:3 (Fleet.Frame.seal ~key ~seq:3 payload)
+        Frame.unseal ~key ~seq:3 (Frame.seal ~key ~seq:3 payload)
         = Some payload
         &&
         match frames with
-        | [ f ] -> Fleet.Frame.unseal ~key ~seq:3 f = None
+        | [ f ] -> Frame.unseal ~key ~seq:3 f = None
         | _ -> false)
       | _ ->
         (* Corrupted or truncated wire bytes never produce a frame (a
@@ -509,11 +457,6 @@ let () =
           Alcotest.test_case "corruption" `Quick test_frame_corruption;
           Alcotest.test_case "seal/unseal" `Quick test_seal_unseal;
           QCheck_alcotest.to_alcotest prop_adversarial_frames ] );
-      ( "lz",
-        [ Alcotest.test_case "known inputs + base64" `Quick test_lz_known;
-          QCheck_alcotest.to_alcotest prop_lz_roundtrip_random;
-          QCheck_alcotest.to_alcotest prop_lz_roundtrip_repetitive;
-          QCheck_alcotest.to_alcotest prop_lz_decompress_total ] );
       ( "backoff",
         [ Alcotest.test_case "jitter bounds" `Quick test_backoff_bounds ] );
       ( "supervise",

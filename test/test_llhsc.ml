@@ -1035,11 +1035,12 @@ let prop_parallel_report_identical =
 (* --- property: supervision does not change the report --------------------------- *)
 
 (* Acceptance criterion of the self-healing pool: with a seeded worker
-   fault (SIGKILL or hang) on a random task, the supervised run —
-   reassignment, quarantine, in-process retry and all — merges to a
-   report byte-identical to the undisturbed single-process run.  The
-   fault hooks are read only in forked workers, so the jobs-1 baseline
-   is undisturbed by construction. *)
+   fault (SIGKILL, hang, delayed result or duplicated result) on a
+   random task, the supervised run — reassignment, quarantine,
+   duplicate suppression, in-process retry and all — merges to a report
+   byte-identical to the undisturbed single-process run.  The fault
+   hooks are read only in forked workers, so the jobs-1 baseline is
+   undisturbed by construction. *)
 let with_fault_env var value f =
   Unix.putenv var value;
   Fun.protect ~finally:(fun () -> Unix.putenv var "") f
@@ -1047,8 +1048,8 @@ let with_fault_env var value f =
 let prop_supervised_crash_report_identical =
   QCheck.Test.make ~count:4
     ~name:"supervised pool with kills/hangs = --jobs 1 report"
-    QCheck.(pair (int_range 0 3) bool)
-    (fun (victim, hang) ->
+    QCheck.(pair (int_range 0 3) (oneofl [ "KILL"; "HANG"; "DELAY_RESULT"; "DUP_RESULT" ]))
+    (fun (victim, fault) ->
       let vm_requests =
         [ [ "memory"; "cpu@0"; "uart@20000000"; "veth0" ]; [ "memory"; "cpu@1" ] ]
       in
@@ -1058,11 +1059,8 @@ let prop_supervised_crash_report_identical =
           ~deltas:(RE.deltas ()) ~schemas_for:RE.schemas_for ~vm_requests ()
       in
       let baseline = outcome_string (run 1) in
-      let var =
-        if hang then "LLHSC_FAULT_HANG_WORKER" else "LLHSC_FAULT_KILL_WORKER"
-      in
       let disturbed =
-        with_fault_env var (string_of_int victim) (fun () ->
+        with_fault_env ("LLHSC_FAULT_" ^ fault ^ "_WORKER") (string_of_int victim) (fun () ->
             outcome_string (run ~task_deadline:1.0 2))
       in
       disturbed = baseline)
