@@ -518,8 +518,8 @@ let write_resilience_json path =
           0 r.Smt.Solver.retried )
   in
   (* Resume column: full-budget run journaled to a scratch file, then
-     replayed.  Journal overhead = fsync'd record per product; resume cost =
-     hash checks + delta re-application, no solver work. *)
+     replayed.  Journal overhead = fsync'd record per task; resume cost =
+     hash checks + delta re-application and slicing, no solver work. *)
   let journal_path = Filename.temp_file "llhsc-bench" ".jsonl" in
   let inputs_hash = Llhsc.Journal.inputs_hash ~parts:[ "bench-resilience" ] in
   let base_ms = median_ms ~runs (fun () -> Llhsc.Quad_rv64.run_pipeline ()) in
@@ -1062,16 +1062,13 @@ let write_durability_json path =
   let n_records = 256 in
   let inputs_hash = Llhsc.Journal.inputs_hash ~parts:[ "bench-durability" ] in
   let entry i =
+    let name = Printf.sprintf "vm%03d" i in
     {
-      Llhsc.Journal.kind = Llhsc.Journal.Product;
-      name = Printf.sprintf "vm%03d" i;
-      hash = Llhsc.Journal.product_hash ~inputs_hash ~name:(Printf.sprintf "vm%03d" i)
-          ~features:[ "cpu"; "mem" ];
-      features = [ "cpu"; "mem" ];
-      order = [];
-      findings = [];
-      certified = false;
-      cert_failures = 0;
+      Llhsc.Journal.hash = Llhsc.Journal.product_hash ~inputs_hash ~name ~features:[ "cpu"; "mem" ];
+      ordinal = 0;
+      result =
+        { Llhsc.Shard.product = name; findings = []; errors = []; queries = 0; certs = [];
+          cert_failures = []; retried = [] };
     }
   in
   let scratch = Filename.temp_file "llhsc-bench-durability" ".jsonl" in

@@ -36,13 +36,24 @@ exception Input_errors of Diag.t list
 exception Interrupted of int
 
 (* Multi-error loading: report every syntax/merge error in the file, not
-   just the first. *)
-let load_tree path =
-  match
-    Devicetree.Tree.of_source_diags ~loader:(loader_for path) ~file:path (read_file path)
-  with
-  | Ok tree -> tree
+   just the first.  Also returns every file the loader resolved, as
+   (literal /include/ name, bytes) in first-read order: exactly what the
+   tree depends on beyond the file itself, so what a journal hashes and
+   what the fleet ships. *)
+let load_tree_includes path =
+  let includes = ref [] in
+  let loader file =
+    let text = loader_for path file in
+    Option.iter
+      (fun t -> if not (List.mem_assoc file !includes) then includes := (file, t) :: !includes)
+      text;
+    text
+  in
+  match Devicetree.Tree.of_source_diags ~loader ~file:path (read_file path) with
+  | Ok tree -> (tree, List.rev !includes)
   | Error errs -> raise (Input_errors (List.map Diag.parse_error errs))
+
+let load_tree path = fst (load_tree_includes path)
 
 (* The raw texts of a schema directory's .yaml/.yml files, sorted by
    file name: what the checker loads, what a journal hashes, and what the
@@ -260,18 +271,20 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
     | None, Some t -> Some ((t *. 32.) +. 10.)
     | None, None -> None
   in
-  let core = load_tree core_path in
+  let core, includes = load_tree_includes core_path in
   let deltas = Delta.Parse.parse ~file:deltas_path (read_file deltas_path) in
   let model = Featuremodel.Parse.parse (read_file fm_path) in
   let schemas = load_schemas schema_dir in
   let schemas_for _tree = schemas in
-  (* Everything a verdict depends on: raw input bytes plus the
-     verdict-affecting flags.  Threaded into every journal record's content
-     hash, so --resume re-checks when any of it changed. *)
+  (* Everything a verdict depends on: raw input bytes (the /include/d
+     files too) plus the verdict-affecting flags.  Threaded into every
+     journal record's content hash, so --resume re-checks when any of it
+     changed. *)
   let inputs_hash =
     Llhsc.Journal.inputs_hash
       ~parts:
         ([ read_file core_path; read_file deltas_path; read_file fm_path ]
+        @ List.concat_map (fun (name, text) -> [ name; text ]) includes
         @ schema_texts schema_dir
         @ List.map (String.concat ",") vm_features
         @ exclusive
@@ -330,7 +343,8 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
       ~certify ?retry:(Llhsc.Flags.retry retry)
       ?unsound:(Option.map Llhsc.Flags.unsound unsound)
       ~inputs_hash ?journal:sink ~resume:resume_entries ~jobs ?task_deadline
-      ~max_respawns ?mem_limit ?cpu_limit ?runner
+      ~max_respawns ?mem_limit ?cpu_limit
+      ?runner:(Option.map (fun runner -> runner ~includes) runner)
       ~model ~core ~deltas ~schemas_for ~vm_requests:vm_features ()
   with
   | exception Interrupted s ->
@@ -349,7 +363,9 @@ let cmd_pipeline ?runner core_path deltas_path fm_path schema_dir vm_features ex
   if resume then begin
     match outcome.Llhsc.Pipeline.replayed with
     | [] -> Fmt.epr "resume: nothing replayable; all products re-checked@."
-    | rs -> Fmt.epr "resume: replayed from journal: %s@." (String.concat ", " rs)
+    | rs ->
+      Fmt.epr "resume: replayed from journal: %d task result(s) (%s)@." (List.length rs)
+        (String.concat ", " (List.sort_uniq String.compare rs))
   end;
   Fmt.pr "%a" Llhsc.Pipeline.pp_outcome outcome;
   (match out_dir with
@@ -402,10 +418,9 @@ let cmd_journal_fsck path quiet =
      | `Ok ih -> say "journal %s: header ok (inputs %s)@." path ih
      | `Bad -> say "journal %s: unrecognised header@." path
      | `Missing -> say "journal %s: empty@." path);
-    say "  records: %d (%d distinct, %d superseded, %d legacy checksum-less)@."
-      r.Llhsc.Journal.records r.Llhsc.Journal.entries
-      (r.Llhsc.Journal.records - r.Llhsc.Journal.entries)
-      r.Llhsc.Journal.legacy;
+    say "  records: %d (%d distinct, %d superseded)@." r.Llhsc.Journal.records
+      r.Llhsc.Journal.entries
+      (r.Llhsc.Journal.records - r.Llhsc.Journal.entries);
     if r.Llhsc.Journal.torn > 0 then
       say "  torn: %d line(s) whose checksum does not verify@." r.Llhsc.Journal.torn;
     if r.Llhsc.Journal.invalid > 0 then
@@ -451,7 +466,7 @@ let read_secret_file path =
   if s = "" then failwith (Printf.sprintf "secret file %s is empty" path);
   s
 
-let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
+let cmd_dispatch listen min_workers wait_workers port_file secret_file
     core_path deltas_path fm_path schema_dir vm_features
     exclusive out_dir max_conflicts timeout certify retry journal_path resume
     unsound task_deadline =
@@ -474,51 +489,28 @@ let cmd_dispatch listen min_workers wait_workers port_file ship secret_file
   in
   (* Everything a worker needs to replan the run, as raw bytes keyed by
      the original file-name strings (so remote diagnostics match local
-     ones byte for byte).  /include/d files are shipped by name:
-     .dtsi siblings of the core automatically, anything else via --ship
-     (NAME=PATH to override the key). *)
-  let ship_entry s =
-    match String.index_opt s '=' with
-    | Some i ->
-      (String.sub s 0 i, read_file (String.sub s (i + 1) (String.length s - i - 1)))
-    | None -> (Filename.basename s, read_file s)
-  in
-  let files =
-    let dir = Filename.dirname core_path in
-    let auto =
-      Sys.readdir dir |> Array.to_list |> List.sort String.compare
-      |> List.filter (fun f -> Filename.check_suffix f ".dtsi")
-      |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+     ones byte for byte).  The /include/d files are exactly those the
+     core's parse read, keyed by their literal /include/ names. *)
+  let runner ~includes ~skip ~resolved ~on_fresh tasks =
+    let spec =
+      { Fleet.Spec.core = { Fleet.Spec.file = core_path; text = read_file core_path };
+        deltas = { Fleet.Spec.file = deltas_path; text = read_file deltas_path };
+        model = read_file fm_path;
+        schemas = schema_texts schema_dir;
+        files = includes;
+        vms = vm_features;
+        exclusive;
+        certify;
+        retry;
+        max_conflicts;
+        solver_timeout = timeout;
+        unsound;
+        skip }
     in
-    let explicit = List.map ship_entry ship in
-    explicit @ auto (* first match wins on lookup: --ship overrides *)
-  in
-  let spec =
-    { Fleet.Spec.core = { Fleet.Spec.file = core_path; text = read_file core_path };
-      deltas = { Fleet.Spec.file = deltas_path; text = read_file deltas_path };
-      model = read_file fm_path;
-      schemas = schema_texts schema_dir;
-      files;
-      vms = vm_features;
-      exclusive;
-      certify;
-      retry;
-      max_conflicts;
-      solver_timeout = timeout;
-      unsound;
-      skip = [] }
-  in
-  let cfg =
-    { Fleet.Dispatch.host; port; min_workers; wait_workers; deadline;
-      port_file; secret;
-      (* The task journal rides next to the product journal: the
-         product journal replays finished products on --resume, the
-         task journal replays finished tasks of the interrupted sweep. *)
-      task_journal = Option.map (fun p -> p ^ ".tasks") journal_path;
-      resume }
-  in
-  let runner ~skip tasks =
-    Fleet.Dispatch.run cfg ~spec:{ spec with Fleet.Spec.skip } tasks
+    Fleet.Dispatch.run
+      { Fleet.Dispatch.host; port; min_workers; wait_workers; deadline; port_file;
+        secret }
+      ~spec ~resolved ~on_fresh tasks
   in
   (* Same driver as `pipeline`, with the fleet in place of the local
      pool: journal, resume, report rendering and exit codes are shared,
@@ -965,17 +957,19 @@ let pl_retry =
 let pl_journal =
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
          ~doc:"Crash-safe journal: append one fsync'd JSONL record per \
-               completed product to $(docv), keyed by a content hash of \
-               the run's inputs.  A killed run loses at most the product \
-               being checked.")
+               completed check task to $(docv) as its result is merged, \
+               keyed by a content hash of the run's inputs, whether the \
+               task ran in-process, in the --jobs pool or on a fleet \
+               worker.  A killed run loses at most its in-flight tasks.")
 
 let pl_resume =
   Arg.(value & flag
        & info [ "resume" ]
-           ~doc:"Replay the --journal file: products whose recorded content \
-                 hash still matches are skipped (findings replayed \
-                 verbatim), stale or missing ones are re-checked.  The \
-                 stdout report is byte-identical to an uninterrupted run.")
+           ~doc:"Replay the --journal file: tasks whose recorded content \
+                 hash still matches are not run again (their findings, \
+                 certificates and retry logs are merged verbatim), stale \
+                 or missing ones are re-checked.  The stdout report is \
+                 byte-identical to an uninterrupted run.")
 
 let pl_unsound =
   Arg.(value & opt (some string) None
@@ -1063,13 +1057,6 @@ let dispatch_cmd =
              ~doc:"Write the bound port to $(docv) once listening (workers \
                    can poll it with their own --port-file).")
   in
-  let ship =
-    Arg.(value & opt_all string []
-         & info [ "ship" ] ~docv:"[NAME=]PATH"
-             ~doc:"Ship an extra /include/d file to workers under its base \
-                   name (or $(b,NAME)).  .dtsi files next to the core are \
-                   shipped automatically.")
-  in
   let task_deadline =
     Arg.(value & opt (some float) None
          & info [ "task-deadline" ] ~docv:"SECONDS"
@@ -1097,8 +1084,9 @@ let dispatch_cmd =
            `P "Runs the same workflow as $(b,pipeline), but dispatches the \
                per-product check tasks to llhsc $(b,worker) processes \
                connected over TCP instead of a local fork pool.  Inputs are \
-               shipped to workers in full, so workers need no shared \
-               filesystem; results are validated against a spec hash and \
+               shipped to workers in full (the core, deltas, model, \
+               schemas and every file the core /include/s), so workers \
+               need no shared filesystem; results are validated against a spec hash and \
                merged exactly-once (first valid result per task wins), \
                making the stdout report byte-identical to --jobs 1 under \
                any schedule of worker crashes, hangs, disconnects or \
@@ -1106,7 +1094,7 @@ let dispatch_cmd =
                --min-workers, remaining tasks finish in-process — a run \
                that loses every worker still completes." ])
     Term.(const cmd_dispatch $ listen $ min_workers $ wait_workers
-          $ port_file $ ship $ secret_file $ pl_core $ pl_deltas
+          $ port_file $ secret_file $ pl_core $ pl_deltas
           $ pl_fm $ schema_dir_arg $ pl_vms
           $ pl_exclusive $ pl_out $ pl_max_conflicts $ pl_timeout $ certify_arg
           $ pl_retry $ pl_journal $ pl_resume $ pl_unsound $ task_deadline)

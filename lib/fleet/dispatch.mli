@@ -25,10 +25,10 @@
     all post-handshake frames carry session-keyed MACs so a mid-stream
     injector is handled as a dead worker (see DESIGN.md "fleet trust").
 
-    With [task_journal] set, every merged task result is appended to a
-    CRC-checksummed, fsync'd journal; [resume] preloads a matching
-    journal through the first-wins merge so a crashed dispatcher's
-    successor re-runs only what is missing.
+    [resolved] results (a resumed run's journal records) are merged
+    before any worker connects and never leased; [on_fresh] sees every
+    result that wins the merge, which is where the pipeline journals it
+    — the same journal, through the same callback, as the fork pool's.
 
     A dispatcher that cannot bind its listen address degrades straight
     to the in-process sweep instead of failing the run.
@@ -44,16 +44,20 @@ type config = {
   deadline : float;  (** per-task lease, seconds *)
   port_file : string option;  (** write the bound port here *)
   secret : string option;  (** require the HMAC handshake ([--secret-file]) *)
-  task_journal : string option;  (** journal per-task results here *)
-  resume : bool;  (** replay a matching task journal before dispatching *)
 }
 
 (** [run cfg ~spec tasks] — serve [tasks] to the fleet and return one
     result per index ([None] only for a task that failed remotely and
     in the local sweep).  [spec] must describe the same run that planned
-    [tasks], with [spec.skip] naming the journal-replayed products. *)
+    [tasks], with [spec.skip] naming the products replayed whole from
+    the journal. *)
 val run :
-  config -> spec:Spec.t -> Llhsc.Shard.task array -> Llhsc.Shard.result option array
+  config ->
+  spec:Spec.t ->
+  resolved:(int * Llhsc.Shard.result) list ->
+  on_fresh:(int -> Llhsc.Shard.result -> unit) ->
+  Llhsc.Shard.task array ->
+  Llhsc.Shard.result option array
 
 (** {1 Bandwidth-aware setup}
 

@@ -1,22 +1,14 @@
-(* Append-only JSONL journal for crash-safe pipeline runs.  See the .mli
-   for the format contract; the important invariants live in [record]:
-   one complete line per entry, fsync'd before control returns, so the
-   window a SIGKILL can lose is exactly one in-flight record. *)
+(* Append-only JSONL journal of task results for crash-safe pipeline
+   runs.  See the .mli for the format contract; the important invariants
+   live in [record]: one complete line per entry, fsync'd before control
+   returns, so the window a SIGKILL can lose is exactly the in-flight
+   tasks. *)
 
-type kind = Product | Partition
+type entry = { hash : string; ordinal : int; result : Shard.result }
 
-type entry = {
-  kind : kind;
-  name : string;
-  hash : string;
-  features : string list;
-  order : string list;
-  findings : Report.finding list;
-  certified : bool;
-  cert_failures : int;
-}
-
-let version = 1
+(* Version 1 journaled one findings-only record per product; its records
+   cannot be replayed as task results, so such a journal is refused. *)
+let version = 2
 
 (* --- hashes ---------------------------------------------------------------- *)
 
@@ -36,91 +28,18 @@ let partition_hash ~inputs_hash ~products =
 
 (* --- entry <-> JSON -------------------------------------------------------- *)
 
-let severity_to_string : Report.severity -> string = function
-  | Error -> "error"
-  | Warning -> "warning"
-  | Info -> "info"
-
-let severity_of_string = function
-  | "error" -> Some Report.Error
-  | "warning" -> Some Report.Warning
-  | "info" -> Some Report.Info
-  | _ -> None
-
-let finding_to_json (f : Report.finding) =
+let entry_to_json e =
   Json.Obj
-    [
-      ("severity", Json.Str (severity_to_string f.severity));
-      ("checker", Json.Str f.checker);
-      ("node_path", Json.Str f.node_path);
-      ("message", Json.Str f.message);
-      ( "loc",
-        Json.Obj
-          [
-            ("file", Json.Str f.loc.Devicetree.Loc.file);
-            ("line", Json.Int f.loc.Devicetree.Loc.line);
-            ("col", Json.Int f.loc.Devicetree.Loc.col);
-          ] );
-      ("core", Json.List (List.map (fun s -> Json.Str s) f.core));
-    ]
+    [ ("hash", Json.Str e.hash); ("task", Json.Int e.ordinal);
+      ("r", Shard.result_to_json e.result) ]
 
 let ( let* ) = Option.bind
 
-let finding_of_json j =
-  let* severity = Option.bind Json.(member "severity" j) Json.to_str in
-  let* severity = severity_of_string severity in
-  let* checker = Option.bind Json.(member "checker" j) Json.to_str in
-  let* node_path = Option.bind Json.(member "node_path" j) Json.to_str in
-  let* message = Option.bind Json.(member "message" j) Json.to_str in
-  let* loc = Json.member "loc" j in
-  let* file = Option.bind (Json.member "file" loc) Json.to_str in
-  let* line = Option.bind (Json.member "line" loc) Json.to_int in
-  let* col = Option.bind (Json.member "col" loc) Json.to_int in
-  let* core = Option.bind Json.(member "core" j) Json.to_str_list in
-  Some
-    {
-      Report.severity;
-      checker;
-      node_path;
-      message;
-      loc = Devicetree.Loc.make ~file ~line ~col;
-      core;
-    }
-
-let kind_to_string = function Product -> "product" | Partition -> "partition"
-
-let kind_of_string = function
-  | "product" -> Some Product
-  | "partition" -> Some Partition
-  | _ -> None
-
-let entry_to_json e =
-  Json.Obj
-    [
-      ("kind", Json.Str (kind_to_string e.kind));
-      ("name", Json.Str e.name);
-      ("hash", Json.Str e.hash);
-      ("features", Json.List (List.map (fun s -> Json.Str s) e.features));
-      ("order", Json.List (List.map (fun s -> Json.Str s) e.order));
-      ("findings", Json.List (List.map finding_to_json e.findings));
-      ("certified", Json.Bool e.certified);
-      ("cert_failures", Json.Int e.cert_failures);
-    ]
-
 let entry_of_json j =
-  let* kind = Option.bind Json.(member "kind" j) Json.to_str in
-  let* kind = kind_of_string kind in
-  let* name = Option.bind Json.(member "name" j) Json.to_str in
-  let* hash = Option.bind Json.(member "hash" j) Json.to_str in
-  let* features = Option.bind Json.(member "features" j) Json.to_str_list in
-  let* order = Option.bind Json.(member "order" j) Json.to_str_list in
-  let* findings = Option.bind Json.(member "findings" j) Json.to_list in
-  let findings' = List.filter_map finding_of_json findings in
-  if List.length findings' <> List.length findings then None
-  else
-    let* certified = Option.bind Json.(member "certified" j) Json.to_bool in
-    let* cert_failures = Option.bind Json.(member "cert_failures" j) Json.to_int in
-    Some { kind; name; hash; features; order; findings = findings'; certified; cert_failures }
+  let* hash = Option.bind (Json.member "hash" j) Json.to_str in
+  let* ordinal = Option.bind (Json.member "task" j) Json.to_int in
+  let* result = Option.bind (Json.member "r" j) Shard.result_of_json in
+  if ordinal < 0 then None else Some { hash; ordinal; result }
 
 let header_json ~inputs_hash =
   Json.Obj [ ("llhsc-journal", Json.Int version); ("inputs", Json.Str inputs_hash) ]
@@ -161,15 +80,14 @@ let env_int name =
    appear inside the JSON itself and the last tab splits unambiguously.
    The checksum catches corrupt-but-still-parseable lines (bit rot, a
    partial overwrite that happens to stay valid JSON) that the parse
-   failure heuristic cannot; lines without a tab are accepted as the
-   older checksum-less format. *)
+   failure heuristic cannot. *)
 let checksummed line = Printf.sprintf "%s\t%08x" line (Util.crc32 line)
 
-(* [Some body] when the line is an old-format line or a checksummed line
-   whose CRC verifies; [None] when the checksum is torn or wrong. *)
+(* [Some body] when the line's CRC verifies; [None] when the checksum is
+   torn, wrong or missing. *)
 let verify_line line =
   match String.rindex_opt line '\t' with
-  | None -> Some line (* pre-checksum journal *)
+  | None -> None
   | Some t ->
     let body = String.sub line 0 t in
     let crc = String.sub line (t + 1) (String.length line - t - 1) in
@@ -207,17 +125,27 @@ let degrade sink reason =
 
 let degradation sink = sink.degraded
 
+(* A journal is appended to only under its own header.  A missing or
+   empty file starts fresh, and so does a journal of other inputs or of
+   an older format: none of its records could be replayed by this run or
+   a resume of it.  Any other file is appended to as before. *)
+let starts_fresh ~path ~inputs_hash =
+  match In_channel.with_open_bin path In_channel.input_line with
+  | exception Sys_error _ -> true
+  | None -> true
+  | Some line -> (
+    match Json.parse line with
+    | Ok j when Json.member "llhsc-journal" j <> None ->
+      header_of_json j <> Some inputs_hash
+    | _ -> false)
+
 let open_ ~path ~inputs_hash =
-  let exists = Sys.file_exists path in
-  let fresh =
-    (not exists)
-    || (try (Util.retry_eintr (fun () -> Unix.stat path)).Unix.st_size = 0
-        with Unix.Unix_error _ -> true)
-  in
+  let fresh = starts_fresh ~path ~inputs_hash in
   let oc = Durable.open_for_append path in
   let sink = { oc; written = 0; degraded = None } in
   if fresh then begin
     try
+      Unix.ftruncate (Unix.descr_of_out_channel oc) 0;
       Durable.out_string oc (Json.to_string (header_json ~inputs_hash) ^ "\n");
       sync oc
     with (Unix.Unix_error _ | Sys_error _) as e -> degrade sink (reason_of_exn e)
@@ -287,109 +215,77 @@ let scan path =
   | Some [] -> Some (`Missing, [])
   | Some (header :: rest) ->
     let verdict =
-      match Json.parse header with
-      | Error _ -> `Bad
-      | Ok j -> (
-        match header_of_json j with Some ih -> `Ok ih | None -> `Bad)
+      match Option.bind (Result.to_option (Json.parse header)) header_of_json with
+      | Some ih -> `Ok ih
+      | None -> `Bad
     in
     Some (verdict, rest)
-
-(* Last record wins per (kind, name): a resumed run appends fresher
-   verdicts rather than rewriting the file.  Also reports whether a
-   degradation marker was seen anywhere in the record stream. *)
-let entries_of_lines rest =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  let degraded = ref None in
-  List.iter
-    (fun line ->
-      match verify_line line with
-      | None -> () (* checksum mismatch: corrupt line, skip *)
-      | Some body -> (
-        match Json.parse body with
-        | Error _ -> () (* torn final record, or garbage: skip *)
-        | Ok j -> (
-          match degraded_of_json j with
-          | Some r -> degraded := Some r
-          | None -> (
-            match entry_of_json j with
-            | None -> ()
-            | Some e ->
-              let key = (e.kind, e.name) in
-              if not (Hashtbl.mem tbl key) then order := key :: !order;
-              Hashtbl.replace tbl key e))))
-    rest;
-  (List.rev_map (fun key -> Hashtbl.find tbl key) !order, !degraded)
-
-let load ~path ~inputs_hash =
-  match scan path with
-  | None | Some (`Missing, _) | Some (`Bad, _) -> []
-  | Some (`Ok ih, _) when ih <> inputs_hash -> []
-  | Some (`Ok _, rest) ->
-    let entries, degraded = entries_of_lines rest in
-    (* A journal whose run recorded a degradation stopped being complete
-       at an unknowable point; trusting it could silently skip re-checks. *)
-    if degraded <> None then [] else entries
-
-let find entries kind name =
-  List.find_opt (fun e -> e.kind = kind && e.name = name) entries
-
-(* --- fsck / compact -------------------------------------------------------- *)
 
 type fsck_report = {
   header : [ `Ok of string | `Bad | `Missing ];
   records : int;
   entries : int;
-  legacy : int;
   torn : int;
   invalid : int;
   degraded_reason : string option;
 }
 
+(* One pass over the record lines: the entries, last record winning per
+   (hash, ordinal) — a resumed run appends fresher results rather than
+   rewriting the file — and the census [fsck] reports. *)
+let read_records header rest =
+  let tbl = Hashtbl.create 64 in
+  let order = ref [] in
+  let records = ref 0 and torn = ref 0 and invalid = ref 0 in
+  let degraded = ref None in
+  List.iter
+    (fun line ->
+      if String.trim line = "" then () (* separator left by a degradation *)
+      else
+        match verify_line line with
+        | None -> incr torn (* checksum mismatch: corrupt or torn line *)
+        | Some body -> (
+          match Json.parse body with
+          | Error _ -> incr invalid
+          | Ok j -> (
+            match degraded_of_json j with
+            | Some r -> degraded := Some r
+            | None -> (
+              match entry_of_json j with
+              | None -> incr invalid
+              | Some e ->
+                incr records;
+                let key = (e.hash, e.ordinal) in
+                if not (Hashtbl.mem tbl key) then order := key :: !order;
+                Hashtbl.replace tbl key e))))
+    rest;
+  ( List.rev_map (fun key -> Hashtbl.find tbl key) !order,
+    { header; records = !records; entries = Hashtbl.length tbl; torn = !torn;
+      invalid = !invalid; degraded_reason = !degraded } )
+
+let load ~path ~inputs_hash =
+  match scan path with
+  | Some ((`Ok ih as header), rest) when ih = inputs_hash ->
+    let entries, census = read_records header rest in
+    (* A journal whose run recorded a degradation stopped being complete
+       at an unknowable point; trusting it could silently skip re-checks. *)
+    if census.degraded_reason <> None then [] else entries
+  | _ -> []
+
+(* --- fsck / compact -------------------------------------------------------- *)
+
 let fsck_issues r = r.torn > 0 || r.invalid > 0 || r.degraded_reason <> None
 
 let fsck ~path =
-  match scan path with
-  | None -> None
-  | Some (header, rest) ->
-    let records = ref 0 in
-    let legacy = ref 0 in
-    let torn = ref 0 in
-    let invalid = ref 0 in
-    let degraded = ref None in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun line ->
-        if String.trim line = "" then () (* separator left by a degradation *)
-        else
-          match verify_line line with
-          | None -> incr torn
-          | Some body -> (
-            match Json.parse body with
-            | Error _ -> incr invalid
-            | Ok j -> (
-              match degraded_of_json j with
-              | Some r -> degraded := Some r
-              | None -> (
-                match entry_of_json j with
-                | None -> incr invalid
-                | Some e ->
-                  incr records;
-                  if not (String.contains line '\t') then incr legacy;
-                  Hashtbl.replace tbl (e.kind, e.name) ()))))
-      rest;
-    Some
-      { header; records = !records; entries = Hashtbl.length tbl;
-        legacy = !legacy; torn = !torn; invalid = !invalid;
-        degraded_reason = !degraded }
+  Option.map (fun (header, rest) -> snd (read_records header rest)) (scan path)
 
 let compact ~path =
   match scan path with
   | None -> Error (path ^ ": cannot read journal")
   | Some (`Missing, _) -> Error (path ^ ": empty journal, nothing to compact")
   | Some (`Bad, _) -> Error (path ^ ": unrecognised journal header")
-  | Some (`Ok ih, rest) ->
-    let entries, _degraded = entries_of_lines rest in
+  | Some ((`Ok ih as header), rest) ->
+    let entries, _ = read_records header rest in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf (Json.to_string (header_json ~inputs_hash:ih));
     Buffer.add_char buf '\n';

@@ -1,36 +1,32 @@
-(** Crash-safe pipeline journal: an append-only JSONL file with one
-    fsync'd record per completed pipeline product, enabling [--resume] to
-    skip work that already concluded before a crash.
+(** Crash-safe journal of task results: an append-only JSONL file with
+    one fsync'd record per check task whose result won the run's
+    first-wins merge, enabling [--resume] to replay exactly the work that
+    concluded before a crash — findings, errors, query counts,
+    certificates and retry logs alike — whichever runner (in-process,
+    fork pool or fleet) produced it.
 
     File layout: the first line is a header record carrying a format
     version and a hash of the run's inputs; every following line is one
     {!entry}, written as ["<json>\t<crc32 of json, 8 hex digits>"] —
     the per-line checksum catches corrupt-but-still-parseable lines
     that a JSON parse failure cannot.  Each record is written, flushed
-    and [fsync]'d before the pipeline moves on, so a SIGKILL at any
-    point loses at most the record being written.  {!load} tolerates a
+    and [fsync]'d as its task's result is merged, so a SIGKILL at any
+    point loses at most the in-flight tasks.  {!load} tolerates a
     truncated final line, skips lines whose checksum does not verify,
-    accepts checksum-less lines written by older versions, and takes the
-    last record per (kind, name) when a product appears twice (a resumed
-    run appends, it never rewrites). *)
+    and takes the last record per (hash, ordinal) when a task appears
+    twice (a resumed run appends, it never rewrites).  A journal of an
+    older format version is refused wholesale and its products
+    re-checked. *)
 
-type kind = Product | Partition
-
+(** One task's journaled result. *)
 type entry = {
-  kind : kind;
-  name : string; (** product name; ["partition"] for the partition record *)
   hash : string;
-      (** content hash of everything this record's verdict depends on (see
-          {!product_hash} / {!partition_hash}); a mismatch on resume means
-          the entry is stale and the product is re-checked *)
-  features : string list;
-  order : string list; (** delta application order (products only) *)
-  findings : Report.finding list;
-  certified : bool; (** the run that wrote this record was certifying *)
-  cert_failures : int;
-      (** certification failures accumulated when the record was written;
-          resumed certifying runs re-check any entry with failures (or
-          written by a non-certifying run) rather than trusting it *)
+      (** content hash of everything the owning product's verdict
+          depends on (see {!product_hash} / {!partition_hash}); a
+          mismatch on resume means the record is stale and the task is
+          re-run *)
+  ordinal : int;  (** the task's index within its product, from 0 *)
+  result : Shard.result;
 }
 
 (** {1 Content hashes}
@@ -52,22 +48,14 @@ val product_hash : inputs_hash:string -> name:string -> features:string list -> 
 val partition_hash :
   inputs_hash:string -> products:(string * string list) list -> string
 
-(** {1 Finding serialisation}
-
-    The journal's JSON encoding of one finding, shared with the worker-pool
-    wire protocol (see {!Shard}). *)
-
-val finding_to_json : Report.finding -> Json.t
-
-(** [None] on a structurally invalid encoding. *)
-val finding_of_json : Json.t -> Report.finding option
-
 (** {1 Writing} *)
 
 type sink
 
 (** Open (append mode, creating if needed) and write the header record if
-    the file is new or empty.  Raises [Sys_error] on unwritable paths
+    the file is new or empty, or holds a journal of other inputs or of an
+    older format version (it is started over: none of its records could
+    be replayed).  Raises [Sys_error] on unwritable paths
     (including {!Durable}'s injected [erofs@n] fault).  A header
     write/fsync failure does not raise: the sink opens already degraded
     (see {!degradation}). *)
@@ -78,7 +66,9 @@ val open_ : path:string -> inputs_hash:string -> sink
     [LLHSC_FAULT_KILL_AFTER_RECORDS]/[LLHSC_FAULT_KILL_MID_RECORD] (test
     harness only: simulate SIGKILL at seeded points) and
     [LLHSC_FAULT_TERM_AFTER_RECORDS] (raise SIGTERM in-process after the
-    n-th record, exercising the CLI's graceful-interrupt path).
+    n-th record, exercising the CLI's graceful-interrupt path); [n]
+    counts the records this sink wrote, one per task result, whichever
+    runner produced it.
 
     Fail-operational on disk errors: if the write or its fsync fails
     (ENOSPC, EIO, ...), the sink degrades instead of raising — a
@@ -103,24 +93,8 @@ val close : sink -> unit
     complete at an unknowable point, and {!compact} is the explicit
     operator path that re-blesses the surviving entries.  Unparsable
     lines — e.g. a half-written final record — are skipped.  Later
-    records win over earlier ones with the same (kind, name). *)
+    records win over earlier ones with the same (hash, ordinal). *)
 val load : path:string -> inputs_hash:string -> entry list
-
-(** Lookup in a loaded journal. *)
-val find : entry list -> kind -> string -> entry option
-
-(** {1 Line checksums}
-
-    The per-line CRC32 framing, exported so other journals (the fleet
-    dispatcher's task journal) share the exact format. *)
-
-(** [checksummed line] is ["<line>\t<crc32 of line, 8 hex digits>"]. *)
-val checksummed : string -> string
-
-(** Inverse of {!checksummed}: [Some line] when the checksum verifies,
-    [Some line] unchanged for checksum-less lines written by older
-    versions, [None] when the checksum is present but wrong. *)
-val verify_line : string -> string option
 
 (** {1 fsck / compact}
 
@@ -134,9 +108,8 @@ type fsck_report = {
           is an unparsable or wrong-version header; [`Missing] an empty
           file *)
   records : int; (** CRC-valid, well-formed entry records *)
-  entries : int; (** distinct (kind, name) after last-wins merge *)
-  legacy : int; (** records accepted in the older checksum-less format *)
-  torn : int; (** lines whose checksum is present but does not verify *)
+  entries : int; (** distinct (hash, ordinal) after last-wins merge *)
+  torn : int; (** lines whose checksum is missing or does not verify *)
   invalid : int;
       (** lines whose checksum verifies (or is absent) but whose body is
           not a valid entry — torn final records land here too *)

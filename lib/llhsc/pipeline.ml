@@ -97,18 +97,16 @@ let chunks size l =
 
 (* What the parent decided about one product before the task phase. *)
 type plan =
-  | Done of { p : product; journal_hash : string option }
-      (* no solver work: replayed, degraded, or failed in delta
-         application ([journal_hash] set iff the record should still be
-         journaled) *)
-  | Sharded of {
-      name : string;
-      features : string list;
-      hash : string;
-      tree : T.t;
+  | Done of product
+      (* no solver work: degraded, failed in delta application, or (on a
+         fleet worker) replayed by the dispatcher *)
+  | Checked of {
+      p : product; (* findings still empty *)
       first : int; (* index of the product's first task *)
       count : int; (* its number of tasks (syntactic chunks + semantic) *)
     }
+  | Recorded of { p : product; results : Shard.result list }
+      (* every task's result is in the resume journal: no tasks at all *)
 
 let fresh_solver ~certify ~budget ~retry ~unsound () =
   let s = Smt.Solver.create ~certify () in
@@ -117,38 +115,43 @@ let fresh_solver ~certify ~budget ~retry ~unsound () =
   Option.iter (Smt.Solver.inject_unsoundness s) unsound;
   s
 
+(* A task's result as its solver left it; the partition check, which runs
+   in the parent, assembles its result the same way. *)
+let task_result ~certify ~name solver ~findings ~errors =
+  let rr = Smt.Solver.retry_report solver in
+  let cr = Smt.Solver.cert_report solver in
+  { Shard.product = name;
+    findings;
+    errors;
+    queries = rr.Smt.Solver.total_queries;
+    certs = (if certify then cr.Smt.Solver.certs else []);
+    cert_failures = (if certify then cr.Smt.Solver.failures else []);
+    retried = rr.Smt.Solver.retried }
+
 type planned =
   | Plan_rejected of Report.finding list (* allocation said no *)
-  | Planned of { plans : plan list; tasks : Shard.task array }
+  | Planned of {
+      plans : plan list;
+      tasks : Shard.task array;
+      keys : (string * int) array; (* per task: its journal (hash, ordinal) *)
+      resolved : (int * Shard.result) list; (* tasks whose result was recorded *)
+    }
 
 (* The planning phase, shared between [run] (local, journal-aware) and
    [plan_tasks] (a remote fleet worker rebuilding the dispatcher's task
    array from shipped inputs).  Everything here is a deterministic
-   function of the run inputs plus [skip]/[resume]: allocation, delta
+   function of the run inputs plus [skip]/[recorded]: allocation, delta
    application, obligation slicing and the per-task solver construction
    never look at the clock, the host, or the job count — which is what
    lets a worker on another machine produce tasks (and so results)
    identical to the dispatcher's own.
 
-   Journal replay is the only plan decision that depends on private
-   parent state (the resume entries); [skip] is its transport: the
-   dispatcher ships the names of the products it replayed and the worker
+   [recorded ~hash ~ordinal] is the resume journal's result for one task.
+   A product whose every task is recorded gets no tasks; [skip] is how
+   the dispatcher tells a worker which products those are, so the worker
    plans them as [Done] without needing the journal itself. *)
-let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
-    ~skip ~errors ~replayed ~model ~core ~deltas ~schemas_for ~vm_requests =
-  (* A journal entry is only worth replaying if the current run's
-     certification demands are no stricter than the run that wrote it. *)
-  let trusted (e : Journal.entry) =
-    (not certify) || (e.Journal.certified && e.Journal.cert_failures = 0)
-  in
-  let replay_findings name hash =
-    if List.mem name skip then Some []
-    else
-      match Journal.find resume Journal.Product name with
-      | Some e when e.Journal.hash = hash && trusted e ->
-        Some e.Journal.findings
-      | _ -> None
-  in
+let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~recorded
+    ~skip ~errors ~model ~core ~deltas ~schemas_for ~vm_requests =
   let vms = List.length vm_requests in
   let requests =
     List.mapi (fun i selected -> Alloc.request (i + 1) selected) vm_requests
@@ -165,68 +168,40 @@ let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
         completed
       @ [ ("platform", platform) ]
     in
-    let tasks = ref [] (* reversed *) in
+    let tasks = ref [] (* reversed, like [keys] *) in
+    let keys = ref [] in
     let n_tasks = ref 0 in
-    let add_task f =
-      tasks := f :: !tasks;
-      incr n_tasks
-    in
     (* Wrap a checking thunk as one task: fresh solver, local isolation,
        result assembled from that solver's own reports. *)
-    let checking_task ~name f =
-      add_task
-        { Shard.owner = name;
-          run =
-            (fun () ->
-          let solver = fresh_solver ~certify ~budget ~retry ~unsound () in
-          let task_errors = ref [] in
-          let findings =
-            guarded ~solver ~errors:task_errors ~what:("product " ^ name)
-              ~fallback:[]
-              (fun () -> f solver)
-          in
-          let rr = Smt.Solver.retry_report solver in
-          let cr = Smt.Solver.cert_report solver in
-          { Shard.product = name;
-            findings;
-            errors = List.rev !task_errors;
-            queries = rr.Smt.Solver.total_queries;
-            certs = (if certify then cr.Smt.Solver.certs else []);
-            cert_failures = (if certify then cr.Smt.Solver.failures else []);
-            retried = rr.Smt.Solver.retried }) }
-    in
-    let degraded ~name ~features =
-      Done { p = { name; features; tree = core; findings = [] };
-             journal_hash = None }
-    in
-    let plan_product (name, features) =
-      let hash = Journal.product_hash ~inputs_hash ~name ~features in
-      match replay_findings name hash with
-      | Some findings ->
-        (* Replay: regenerate the tree (needed downstream by the partition
-           check and artifact rendering) but skip all solver work and take
-           the recorded findings verbatim. *)
-        replayed := name :: !replayed;
-        let tree =
-          guarded ~errors ~what:("product " ^ name) ~fallback:core
-            (fun () ->
-              match Delta.Apply.generate ~core ~deltas ~selected:features with
-              | tree -> tree
-              | exception Delta.Apply.Error _ -> core)
+    let checking_task ~name ~key f =
+      let run () =
+        let solver = fresh_solver ~certify ~budget ~retry ~unsound () in
+        let task_errors = ref [] in
+        let findings =
+          guarded ~solver ~errors:task_errors ~what:("product " ^ name)
+            ~fallback:[]
+            (fun () -> f solver)
         in
-        Done { p = { name; features; tree; findings }; journal_hash = None }
-      | None -> (
+        task_result ~certify ~name solver ~findings ~errors:(List.rev !task_errors)
+      in
+      tasks := { Shard.owner = name; run } :: !tasks;
+      keys := key :: !keys;
+      incr n_tasks
+    in
+    let resolved = ref [] in
+    let degraded ~name ~features = Done { name; features; tree = core; findings = [] } in
+    let plan_product (name, features) =
+      if List.mem name skip then degraded ~name ~features
+      else
         match Delta.Apply.generate ~core ~deltas ~selected:features with
         | exception Delta.Apply.Error e ->
+          (* The delta failure IS the product's complete verdict. *)
           let finding =
             Report.finding ~checker:"delta"
               ~node_path:(Option.value ~default:"?" e.Delta.Apply.delta)
               ~loc:e.Delta.Apply.loc "product %s: %s" name e.Delta.Apply.message
           in
-          (* The delta failure IS the product's complete verdict: journal
-             it like any checked product. *)
-          Done { p = { name; features; tree = core; findings = [ finding ] };
-                 journal_hash = Some hash }
+          Done { name; features; tree = core; findings = [ finding ] }
         | exception e -> (
           match Diag.of_exn e with
           | None -> raise e
@@ -242,32 +217,48 @@ let plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
           with
           | None -> degraded ~name ~features
           | Some obls ->
-            let first = !n_tasks in
-            List.iter
-              (fun slice ->
-                checking_task ~name (fun solver ->
-                    Syntactic.check_obligations ~solver ~product:name slice))
-              (chunks syn_chunk_size obls);
-            checking_task ~name (fun solver -> Semantic.check ~solver tree);
-            Sharded { name; features; hash; tree; first;
-                      count = !n_tasks - first }))
+            let p = { name; features; tree; findings = [] } in
+            let hash = Journal.product_hash ~inputs_hash ~name ~features in
+            let checks =
+              List.map
+                (fun slice solver ->
+                  Syntactic.check_obligations ~solver ~product:name slice)
+                (chunks syn_chunk_size obls)
+              @ [ (fun solver -> Semantic.check ~solver tree) ]
+            in
+            let recs = List.mapi (fun ordinal _ -> recorded ~hash ~ordinal) checks in
+            if List.for_all Option.is_some recs then
+              Recorded { p; results = List.filter_map Fun.id recs }
+            else begin
+              let first = !n_tasks in
+              List.iteri
+                (fun ordinal (check, r) ->
+                  checking_task ~name ~key:(hash, ordinal) check;
+                  Option.iter (fun r -> resolved := (first + ordinal, r) :: !resolved) r)
+                (List.combine checks recs);
+              Checked { p; first; count = List.length checks }
+            end)
     in
     let plans = List.map plan_product specs in
-    Planned { plans; tasks = Array.of_list (List.rev !tasks) }
+    Planned
+      { plans;
+        tasks = Array.of_list (List.rev !tasks);
+        keys = Array.of_list (List.rev !keys);
+        resolved = List.rev !resolved }
 
 (* Rebuild the dispatcher's task array on a fleet worker: same inputs,
-   same [skip] list (the products the dispatcher replayed from its
+   same [skip] list (the products the dispatcher replayed whole from its
    journal), same deterministic planning — so task index [i] here runs
    exactly the closure the dispatcher's own pool would have run.
    Returns [[||]] when allocation rejects the product line (the
    dispatcher's plan holds no tasks either). *)
 let plan_tasks ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
     ?(skip = []) ~model ~core ~deltas ~schemas_for ~vm_requests () =
-  let errors = ref [] and replayed = ref [] in
+  let errors = ref [] in
   match
     plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash:""
-      ~resume:[] ~skip ~errors ~replayed ~model ~core ~deltas ~schemas_for
-      ~vm_requests
+      ~recorded:(fun ~hash:_ ~ordinal:_ -> None) ~skip ~errors ~model ~core
+      ~deltas ~schemas_for ~vm_requests
   with
   | Plan_rejected _ -> [||]
   | Planned { tasks; _ } -> tasks
@@ -284,37 +275,38 @@ let plan_tasks ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
    hanging.  [retry] installs an escalation ladder: inconclusive queries
    are re-run with scaled budgets and diversified restarts.
 
-   Crash safety: with [journal] each completed product (and the partition
-   check) is appended to the journal as one fsync'd record keyed by a
-   content hash of its inputs.  [resume] is a previously loaded journal;
-   products whose hash matches a trusted journal entry are replayed —
-   trees regenerated (cheap and deterministic) but findings taken from the
-   journal, no solver work — and everything else is re-checked.  A
-   certifying run only trusts entries that were themselves written by a
-   certifying run with zero failures: resumption never fabricates a
-   certificate.  Replay is decided in the parent before any task is
-   sharded, and only the parent ever writes the journal. *)
+   Crash safety: with [journal] every task result that wins the runner's
+   first-wins merge (and the partition check's) is appended to the
+   journal as one fsync'd record keyed by its product's content hash and
+   its ordinal within the product.  [resume] is a previously loaded
+   journal: matching records are merged exactly like fresh results —
+   trees are regenerated (cheap and deterministic), but the recorded
+   tasks are never run.  A certifying run keys its records under its own
+   hashes, so it only ever replays certificates a certifying run
+   produced: resumption never fabricates a certificate. *)
 let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
     ?(inputs_hash = "") ?journal ?(resume = []) ?(jobs = 1) ?task_deadline
     ?max_respawns ?mem_limit ?cpu_limit ?runner ~model ~core ~deltas
     ~schemas_for ~vm_requests () =
   let jobs = if jobs <= 0 then Shard.online_cpus () else jobs in
-  let errors = ref [] in
-  let replayed = ref [] in
-  let fresh_solver () = fresh_solver ~certify ~budget ~retry ~unsound () in
-  let journal_entry ~kind ~name ~hash ~features ~order ~findings
-      ~cert_failures =
-    match journal with
-    | None -> ()
-    | Some sink ->
-      Journal.record sink
-        { Journal.kind; name; hash; features; order; findings;
-          certified = certify; cert_failures }
+  let inputs_hash =
+    if certify then Journal.inputs_hash ~parts:[ inputs_hash; "certify" ] else inputs_hash
   in
-  (* A journal entry is only worth replaying if the current run's
-     certification demands are no stricter than the run that wrote it. *)
-  let trusted (e : Journal.entry) =
-    (not certify) || (e.Journal.certified && e.Journal.cert_failures = 0)
+  let errors = ref [] in
+  let replayed = ref [] (* reversed: one owner per replayed task *) in
+  let records = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Journal.entry) ->
+      Hashtbl.replace records (e.Journal.hash, e.Journal.ordinal) e.Journal.result)
+    resume;
+  let recorded ~hash ~ordinal = Hashtbl.find_opt records (hash, ordinal) in
+  (* Only a complete verdict is journaled: a result with an isolated error
+     or a failed certificate is re-derived by a resumed run. *)
+  let journal_result ~hash ~ordinal (r : Shard.result) =
+    match journal with
+    | Some sink when r.Shard.errors = [] && r.Shard.cert_failures = [] ->
+      Journal.record sink { Journal.hash; ordinal; result = r }
+    | _ -> ()
   in
   (* Canonical-order accumulation of the per-task solver statistics.
      Every task numbers its queries from 0; [absorb] renumbers them into
@@ -353,84 +345,77 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
       replayed = List.rev !replayed;
       (* Read at finish time: the sink degrades at the failing record and
          stays degraded, so this is the run's final durability verdict. *)
-      journal_fault =
-        (match journal with
-         | Some sink -> Journal.degradation sink
-         | None -> None) }
+      journal_fault = Option.bind journal Journal.degradation }
   in
   match
-    plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~resume
-      ~skip:[] ~errors ~replayed ~model ~core ~deltas ~schemas_for ~vm_requests
+    plan_all ~exclusive ~budget ~certify ~retry ~unsound ~inputs_hash ~recorded
+      ~skip:[] ~errors ~model ~core ~deltas ~schemas_for ~vm_requests
   with
   | Plan_rejected findings ->
     finish ~products:[] ~alloc_findings:findings ~partition_findings:[] ~delta_orders:[]
-  | Planned { plans; tasks } ->
+  | Planned { plans; tasks; keys; resolved } ->
+    let on_fresh i r =
+      let hash, ordinal = keys.(i) in
+      journal_result ~hash ~ordinal r
+    in
     let results =
       (* [runner] (the fleet dispatcher) takes the place of the local
-         pool when supplied; it receives the replayed product names so
-         remote workers can rebuild the identical task array via
-         [plan_tasks ~skip].  Everything downstream — merge, journal,
-         partition check — is runner-agnostic. *)
+         pool when supplied; it receives the names of the products
+         replayed whole, so remote workers can rebuild the identical task
+         array via [plan_tasks ~skip].  Everything downstream — merge,
+         journal, partition check — is runner-agnostic. *)
       match runner with
-      | Some f -> f ~skip:(List.rev !replayed) tasks
+      | Some f ->
+        let skip =
+          List.filter_map (function Recorded { p; _ } -> Some p.name | _ -> None) plans
+        in
+        f ~skip ~resolved ~on_fresh tasks
       | None ->
         Shard.run_tasks ~jobs ?deadline:task_deadline ?max_respawns ?mem_limit
-          ?cpu_limit tasks
+          ?cpu_limit ~resolved ~on_fresh tasks
     in
-    (* Canonical merge: task order == plan order, so absorbing the results
-       array front to back renumbers queries identically for every job
-       count.  Results of a degraded product's completed tasks still count
-       (their queries ran and their certificates are real). *)
-    let absorbed = Array.map (Option.map absorb) results in
-    let merge = function
-      | Done { p; journal_hash } ->
-        (match journal_hash with
-         | Some hash ->
-           journal_entry ~kind:Journal.Product ~name:p.name ~hash
-             ~features:p.features
-             ~order:(Delta.Apply.order ~selected:p.features deltas)
-             ~findings:p.findings ~cert_failures:0
-         | None -> ());
-        p
-      | Sharded { name; features; hash; tree; first; count } ->
-        let rs = Array.to_list (Array.sub absorbed first count) in
-        if List.exists Option.is_none rs then begin
-          (* Last resort: the supervised pool reassigns a dead worker's
-             task and retries quarantined poison tasks in-process, so a
-             [None] here means the task failed every avenue.  Degrade to
-             an isolated diagnostic, exactly like an in-process phase
-             failure. *)
-          errors :=
-            Diag.make ~code:"WORKER"
-              "product %s: task failed in workers and in-process retry; \
-               product not checked"
-              name
-            :: !errors;
-          { name; features; tree = core; findings = [] }
-        end
-        else begin
-          let rs = List.filter_map Fun.id rs in
-          let task_errors = List.concat_map (fun r -> r.Shard.errors) rs in
-          if task_errors <> [] then begin
-            List.iter (fun d -> errors := d :: !errors) task_errors;
-            { name; features; tree = core; findings = [] }
-          end
-          else begin
-            let findings = List.concat_map (fun r -> r.Shard.findings) rs in
-            (* Only journal products whose every task completed without an
-               isolated error: anything less and the recorded findings
-               would not reflect a full check. *)
-            journal_entry ~kind:Journal.Product ~name ~hash ~features
-              ~order:(Delta.Apply.order ~selected:features deltas)
-              ~findings
-              ~cert_failures:
-                (List.length
-                   (List.concat_map (fun r -> r.Shard.cert_failures) rs));
-            { name; features; tree; findings }
-          end
-        end
+    List.iter (fun (i, _) -> replayed := tasks.(i).Shard.owner :: !replayed) resolved;
+    (* Canonical merge: absorbing each product's results in plan order —
+       recorded or fresh alike — renumbers queries identically for every
+       job count and every resume.  Results of a degraded product's
+       completed tasks still count (their queries ran and their
+       certificates are real). *)
+    let merge (p : product) rs =
+      let rs = List.map (Option.map absorb) rs in
+      if List.exists Option.is_none rs then begin
+        (* Last resort: the supervised pool reassigns a dead worker's
+           task and retries quarantined poison tasks in-process, so a
+           [None] here means the task failed every avenue.  Degrade to
+           an isolated diagnostic, exactly like an in-process phase
+           failure. *)
+        errors :=
+          Diag.make ~code:"WORKER"
+            "product %s: task failed in workers and in-process retry; \
+             product not checked"
+            p.name
+          :: !errors;
+        { p with tree = core }
+      end
+      else begin
+        let rs = List.filter_map Fun.id rs in
+        match List.concat_map (fun r -> r.Shard.errors) rs with
+        | [] -> { p with findings = List.concat_map (fun r -> r.Shard.findings) rs }
+        | task_errors ->
+          List.iter (fun d -> errors := d :: !errors) task_errors;
+          { p with tree = core }
+      end
     in
-    let all_products = List.map merge plans in
+    let all_products =
+      List.map
+        (function
+          | Done p -> p
+          | Checked { p; first; count } ->
+            merge p (Array.to_list (Array.sub results first count))
+          | Recorded { p; results } ->
+            List.iter (fun _ -> replayed := p.name :: !replayed) results;
+            merge p (List.map Option.some results))
+        plans
+    in
     let delta_orders =
       List.map
         (fun p -> (p.name, Delta.Apply.order ~selected:p.features deltas))
@@ -438,18 +423,19 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
     in
     (* The cross-VM partition check needs every product's tree, so it runs
        in the parent after the merge barrier, on its own fresh solver —
-       its queries extend the same canonical numbering. *)
-    let partition_findings =
-      let hash =
-        Journal.partition_hash ~inputs_hash
-          ~products:(List.map (fun p -> (p.name, p.features)) all_products)
-      in
-      match Journal.find resume Journal.Partition "partition" with
-      | Some e when e.Journal.hash = hash && trusted e ->
+       its queries extend the same canonical numbering, and its result is
+       journaled and replayed like any task's. *)
+    let hash =
+      Journal.partition_hash ~inputs_hash
+        ~products:(List.map (fun p -> (p.name, p.features)) all_products)
+    in
+    let partition =
+      match recorded ~hash ~ordinal:0 with
+      | Some r ->
         replayed := "partition" :: !replayed;
-        e.Journal.findings
-      | _ ->
-        let solver = fresh_solver () in
+        r
+      | None ->
+        let solver = fresh_solver ~certify ~budget ~retry ~unsound () in
         let task_errors = ref [] in
         let vm_products =
           List.filter (fun p -> p.name <> "platform") all_products
@@ -459,33 +445,23 @@ let run ?(exclusive = []) ?budget ?(certify = false) ?retry ?unsound
           | Some p -> p.tree
           | None -> core
         in
-        let fs =
+        let findings =
           guarded ~solver ~errors:task_errors ~what:"partition check"
             ~fallback:[] (fun () ->
               Partition.check ~solver ~platform:platform_tree
                 (List.map (fun p -> (p.name, p.tree)) vm_products))
         in
-        let rr = Smt.Solver.retry_report solver in
-        let cr = Smt.Solver.cert_report solver in
         let r =
-          absorb
-            { Shard.product = "partition";
-              findings = fs;
-              errors = List.rev !task_errors;
-              queries = rr.Smt.Solver.total_queries;
-              certs = (if certify then cr.Smt.Solver.certs else []);
-              cert_failures = (if certify then cr.Smt.Solver.failures else []);
-              retried = rr.Smt.Solver.retried }
+          task_result ~certify ~name:"partition" solver ~findings
+            ~errors:(List.rev !task_errors)
         in
-        if r.Shard.errors = [] then
-          journal_entry ~kind:Journal.Partition ~name:"partition" ~hash
-            ~features:[] ~order:[] ~findings:fs
-            ~cert_failures:(List.length r.Shard.cert_failures)
-        else List.iter (fun d -> errors := d :: !errors) r.Shard.errors;
-        fs
+        journal_result ~hash ~ordinal:0 r;
+        r
     in
-    finish ~products:all_products ~alloc_findings:[] ~partition_findings
-      ~delta_orders
+    let partition = absorb partition in
+    List.iter (fun d -> errors := d :: !errors) partition.Shard.errors;
+    finish ~products:all_products ~alloc_findings:[]
+      ~partition_findings:partition.Shard.findings ~delta_orders
 
 let pp_outcome ppf outcome =
   List.iter

@@ -31,9 +31,9 @@ type outcome = {
           escalation attempt logs for every query that needed more than
           one attempt. *)
   replayed : string list;
-      (** Product names (plus ["partition"]) whose verdicts were replayed
-          from the resume journal instead of re-checked; empty on a
-          non-resumed run. *)
+      (** One entry per task result replayed from the resume journal
+          instead of re-run, naming the task's product (or
+          ["partition"]); empty on a non-resumed run. *)
   journal_fault : string option;
       (** [Some reason] when a journal write/fsync failed mid-run: the
           run carried on unjournaled (fail-operational) and the report
@@ -70,13 +70,18 @@ val ok : outcome -> bool
     and certification applies to whichever attempt concludes.
 
     [journal] makes the run crash-safe: one fsync'd JSONL record per
-    completed product (content hash + findings + certification status).
-    [resume] replays a previously loaded journal (see [Journal.load]):
-    products whose content hash matches a trusted entry are skipped —
-    findings replayed verbatim — and stale or untrusted entries are
-    re-checked.  [inputs_hash] is the caller-computed hash of the run's
-    raw inputs and verdict-affecting flags, threaded into every record's
-    content hash.
+    task result that wins the first-wins merge, whichever runner produced
+    it, plus one for the partition check (see {!Journal}).  Only complete
+    verdicts are journaled: a result with an isolated error or a failed
+    certificate is not.  [resume] replays a previously loaded journal
+    (see [Journal.load]): a task whose product's content hash and ordinal
+    match a record is never run — its recorded result (findings,
+    certificates, retry log) is merged exactly like a fresh one, so a
+    resumed report is byte-identical to an uninterrupted one, certified
+    and retried runs included — and stale records are ignored.  A
+    certifying run never replays a record a non-certifying run wrote.
+    [inputs_hash] is the caller-computed hash of the run's raw inputs and
+    verdict-affecting flags, threaded into every record's content hash.
 
     [unsound] is test-only fault injection forwarded to the underlying
     SAT solver (see [Sat.Solver.inject_unsoundness]); the
@@ -92,7 +97,8 @@ val ok : outcome -> bool
     slicing, solver instantiation and merge order never depend on
     [jobs].  Only the parent writes the journal, and replay is decided
     before sharding, so [jobs] composes with [journal]/[resume] (a
-    journal written at one job count resumes at any other).
+    journal written at one job count resumes at any other, or through
+    the fleet).
 
     The pool is self-healing: a crashed worker's in-flight task is
     reassigned to a replacement worker (bounded by [max_respawns],
@@ -107,11 +113,14 @@ val ok : outcome -> bool
     knobs affect verdicts or report bytes.
 
     [runner] replaces the local task pool with a caller-supplied
-    executor (the fleet dispatcher): it receives the names of the
-    products replayed from the journal (so remote workers can rebuild
-    the identical task array via {!plan_tasks}[ ~skip]) and the task
-    array, and must return one result per index ([None] for tasks that
-    failed every avenue).  When present, [jobs]/[task_deadline]/
+    executor (the fleet dispatcher).  It receives the names of the
+    products whose every task was replayed from the journal (so remote
+    workers can rebuild the identical task array via
+    {!plan_tasks}[ ~skip]), the replayed results of the remaining tasks
+    by index ([resolved], never to be run again), the journaling
+    callback [on_fresh] (to call once per result that wins the merge)
+    and the task array; it must return one result per index ([None] for
+    tasks that failed every avenue), as {!Shard.run_tasks} does.  When present, [jobs]/[task_deadline]/
     [max_respawns]/[mem_limit]/[cpu_limit] are ignored; merge, journal
     and partition check behave identically either way. *)
 val run :
@@ -128,7 +137,12 @@ val run :
   ?max_respawns:int ->
   ?mem_limit:int ->
   ?cpu_limit:int ->
-  ?runner:(skip:string list -> Shard.task array -> Shard.result option array) ->
+  ?runner:
+    (skip:string list ->
+    resolved:(int * Shard.result) list ->
+    on_fresh:(int -> Shard.result -> unit) ->
+    Shard.task array ->
+    Shard.result option array) ->
   model:Featuremodel.Model.t ->
   core:Devicetree.Tree.t ->
   deltas:Delta.Lang.t list ->
@@ -140,7 +154,7 @@ val run :
 (** Rebuild the check-phase task array from raw inputs, exactly as [run]
     would plan it.  This is the fleet worker's half of the distributed
     contract: the dispatcher plans with its journal and ships the inputs
-    plus [skip] (the names of the products it replayed); a worker calling
+    plus [skip] (the names of the products it replayed whole); a worker calling
     [plan_tasks] with the same inputs and [skip] obtains an array whose
     index [i] runs the very closure the dispatcher's own pool would have
     run — same solver construction, same obligation slicing, same query

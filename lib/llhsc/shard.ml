@@ -79,6 +79,36 @@ let renumber ~offset r =
 let float_to_json t = Json.Str (Printf.sprintf "%h" t)
 let float_of_json j = Option.bind (Json.to_str j) float_of_string_opt
 
+let severity_to_string : Report.severity -> string = function
+  | Error -> "error"
+  | Warning -> "warning"
+  | Info -> "info"
+
+let severity_of_string = function
+  | "error" -> Some Report.Error
+  | "warning" -> Some Report.Warning
+  | "info" -> Some Report.Info
+  | _ -> None
+
+let loc_to_json (loc : Devicetree.Loc.t) =
+  Json.Obj
+    [
+      ("file", Json.Str loc.file);
+      ("line", Json.Int loc.line);
+      ("col", Json.Int loc.col);
+    ]
+
+let finding_to_json (f : Report.finding) =
+  Json.Obj
+    [
+      ("severity", Json.Str (severity_to_string f.severity));
+      ("checker", Json.Str f.checker);
+      ("node_path", Json.Str f.node_path);
+      ("message", Json.Str f.message);
+      ("loc", loc_to_json f.loc);
+      ("core", Json.List (List.map (fun s -> Json.Str s) f.core));
+    ]
+
 let diag_severity_to_string : Diag.severity -> string = function
   | Error -> "error"
   | Warning -> "warning"
@@ -96,19 +126,26 @@ let diag_to_json (d : Diag.t) =
       ("severity", Json.Str (diag_severity_to_string d.severity));
       ("code", Json.Str d.code);
       ("message", Json.Str d.message);
-      ( "loc",
-        match d.loc with
-        | None -> Json.Null
-        | Some loc ->
-          Json.Obj
-            [
-              ("file", Json.Str loc.Devicetree.Loc.file);
-              ("line", Json.Int loc.Devicetree.Loc.line);
-              ("col", Json.Int loc.Devicetree.Loc.col);
-            ] );
+      ("loc", match d.loc with None -> Json.Null | Some loc -> loc_to_json loc);
     ]
 
 let ( let* ) = Option.bind
+
+let loc_of_json j =
+  let* file = Option.bind (Json.member "file" j) Json.to_str in
+  let* line = Option.bind (Json.member "line" j) Json.to_int in
+  let* col = Option.bind (Json.member "col" j) Json.to_int in
+  Some (Devicetree.Loc.make ~file ~line ~col)
+
+let finding_of_json j =
+  let* severity = Option.bind (Json.member "severity" j) Json.to_str in
+  let* severity = severity_of_string severity in
+  let* checker = Option.bind (Json.member "checker" j) Json.to_str in
+  let* node_path = Option.bind (Json.member "node_path" j) Json.to_str in
+  let* message = Option.bind (Json.member "message" j) Json.to_str in
+  let* loc = Option.bind (Json.member "loc" j) loc_of_json in
+  let* core = Option.bind (Json.member "core" j) Json.to_str_list in
+  Some { Report.severity; checker; node_path; message; loc; core }
 
 let diag_of_json j =
   let* severity = Option.bind (Json.member "severity" j) Json.to_str in
@@ -118,11 +155,7 @@ let diag_of_json j =
   let* loc =
     match Json.member "loc" j with
     | Some Json.Null | None -> Some None
-    | Some loc ->
-      let* file = Option.bind (Json.member "file" loc) Json.to_str in
-      let* line = Option.bind (Json.member "line" loc) Json.to_int in
-      let* col = Option.bind (Json.member "col" loc) Json.to_int in
-      Some (Some (Devicetree.Loc.make ~file ~line ~col))
+    | Some loc -> Option.map Option.some (loc_of_json loc)
   in
   Some { Diag.severity; code; message; loc }
 
@@ -232,7 +265,7 @@ let result_to_json r =
   Json.Obj
     [
       ("product", Json.Str r.product);
-      ("findings", Json.List (List.map Journal.finding_to_json r.findings));
+      ("findings", Json.List (List.map finding_to_json r.findings));
       ("errors", Json.List (List.map diag_to_json r.errors));
       ("queries", Json.Int r.queries);
       ("certs", Json.List (List.map cert_to_json r.certs));
@@ -244,7 +277,7 @@ let result_to_json r =
 let result_of_json j =
   let* product = Option.bind (Json.member "product" j) Json.to_str in
   let* findings = Option.bind (Json.member "findings" j) Json.to_list in
-  let* findings = all_or_none Journal.finding_of_json findings in
+  let* findings = all_or_none finding_of_json findings in
   let* errors = Option.bind (Json.member "errors" j) Json.to_list in
   let* errors = all_or_none diag_of_json errors in
   let* queries = Option.bind (Json.member "queries" j) Json.to_int in
@@ -450,7 +483,7 @@ type peer = {
 
 type fleet = {
   who : string;
-  tasks : task array;
+  work : task array; (** the run's tasks, by index *)
   st : result Supervise.t;
   stamp : string;
   deadline : float option;
@@ -460,7 +493,7 @@ type fleet = {
 }
 
 let fleet ~who ~stamp ?deadline ?(on_fresh = fun _ _ -> ()) st tasks =
-  { who; tasks; st; stamp; deadline; on_fresh; peers = []; auth_rejected = 0 }
+  { who; work = tasks; st; stamp; deadline; on_fresh; peers = []; auth_rejected = 0 }
 
 let auth_rejected f = f.auth_rejected
 let peer_name p = p.name
@@ -506,13 +539,13 @@ let drop f p reason =
         | `Resolved -> ()
         | `Reassign ->
           note f "worker %s %s; reassigning task %d (product %s)" p.name reason i
-            f.tasks.(i).owner
+            f.work.(i).owner
         | `Quarantine k ->
           note f
             "task %d (product %s) crashed %d workers; quarantined as poison task, \
              will retry in-process"
-            i f.tasks.(i).owner k)
-      (Supervise.Lease.tasks p.leases)
+            i f.work.(i).owner k)
+      (Supervise.Lease.leased p.leases)
   end
 
 (* Authentication failures are counted and reported distinctly — they
@@ -579,8 +612,8 @@ let on_message f p j =
   | Some m, _ -> (
     match (task m, Option.bind (Json.member "r" m) result_of_json) with
     | Some i, Some r
-      when stamp_ok m && i >= 0 && i < Array.length f.tasks
-           && r.product = f.tasks.(i).owner ->
+      when stamp_ok m && i >= 0 && i < Array.length f.work
+           && r.product = f.work.(i).owner ->
       Supervise.Lease.finish p.leases i;
       (match Supervise.resolve f.st i r with
        | `Fresh -> f.on_fresh i r
@@ -643,7 +676,7 @@ let expire f now =
           | [] -> ()
           | i :: _ ->
             note f "task %d (product %s): deadline of %.1fs expired; %s hung worker %s"
-              i f.tasks.(i).owner dl
+              i f.work.(i).owner dl
               (if p.pid = None then "dropping" else "killing")
               p.name;
             drop f p "hung"))
@@ -728,8 +761,8 @@ let sweep f =
   List.iter
     (fun i ->
       if Supervise.is_quarantined f.st i then
-        note f "task %d (product %s): retrying poison task in-process" i f.tasks.(i).owner;
-      match run_task_guarded f.tasks.(i) with
+        note f "task %d (product %s): retrying poison task in-process" i f.work.(i).owner;
+      match run_task_guarded f.work.(i) with
       | r -> (
         match Supervise.resolve f.st i r with
         | `Fresh -> f.on_fresh i r
@@ -737,7 +770,7 @@ let sweep f =
       | exception e ->
         (* Unknown exception even in-process: the merge phase degrades
            this task to error[WORKER]. *)
-        note f "task %d (product %s): in-process retry failed (%s)" i f.tasks.(i).owner
+        note f "task %d (product %s): in-process retry failed (%s)" i f.work.(i).owner
           (Printexc.to_string e))
     (Supervise.unresolved f.st)
 
@@ -772,7 +805,7 @@ let fork_child f ~mem_limit ~cpu_limit =
     List.iter (fun p -> try Unix.close p.ch.fd with Unix.Unix_error _ -> ()) f.peers;
     (try
        install_guards ~mem_limit ~cpu_limit;
-       ignore (serve (chan theirs) ~stamp:f.stamp ?mem_limit f.tasks);
+       ignore (serve (chan theirs) ~stamp:f.stamp ?mem_limit f.work);
        Unix._exit 0
      with e ->
        (* Don't unwind into a second copy of the parent: report and die;
@@ -784,20 +817,33 @@ let fork_child f ~mem_limit ~cpu_limit =
     let name = Printf.sprintf "pid %d" pid in
     f.peers <- f.peers @ [ new_peer ~pid ~name ~on_frame:(fun _ _ -> ()) ours ]
 
+(* A run's state with the tasks whose results are already known (a
+   resumed run's journal records) resolved up front: they are never
+   dispatched, and [on_fresh] never sees them. *)
+let preresolved n resolved =
+  let st = Supervise.create n in
+  List.iter (fun (i, r) -> ignore (Supervise.resolve st i r)) resolved;
+  st
+
 let run_tasks ~jobs ?deadline ?(max_respawns = 8) ?mem_limit ?cpu_limit
-    (tasks : task array) =
+    ?(resolved = []) ?(on_fresh = fun _ _ -> ()) (tasks : task array) =
   let n = Array.length tasks in
+  let st = preresolved n resolved in
   let jobs = min jobs n in
   if jobs <= 1 then begin
     (* In-process path: no forks, no hooks, no guards — this is the
        reference schedule every supervised run must match byte for
        byte. *)
-    let results = Array.make n None in
-    Array.iteri (fun i t -> results.(i) <- Some (t.run ())) tasks;
-    results
+    List.iter
+      (fun i ->
+        let r = tasks.(i).run () in
+        ignore (Supervise.resolve st i r);
+        on_fresh i r)
+      (Supervise.unresolved st);
+    Supervise.results st
   end
   else begin
-    let f = fleet ~who:"llhsc" ~stamp:"local" ?deadline (Supervise.create n) tasks in
+    let f = fleet ~who:"llhsc" ~stamp:"local" ?deadline ~on_fresh st tasks in
     (* Keep [jobs] children while work is queued: the first [jobs] forks
        start the pool, up to [max_respawns] more replace lost ones, with
        exponential backoff. *)

@@ -87,6 +87,8 @@ val run_task_guarded : task -> result
     a remote fleet worker installs them once at startup. *)
 val install_guards : mem_limit:int option -> cpu_limit:int option -> unit
 
+(** The JSON encoding of a result, shared by the wire protocol and the
+    journal. *)
 val result_to_json : result -> Json.t
 
 (** [None] on a structurally invalid encoding. *)
@@ -109,13 +111,21 @@ val online_cpus : unit -> int
     [deadline] is the per-task lease in seconds (no deadline when
     omitted); [max_respawns] bounds replacement workers across the whole
     run (default 8); [mem_limit] (MiB) and [cpu_limit] (seconds) install
-    per-worker rlimit guards. *)
+    per-worker rlimit guards.
+
+    [resolved] are results already known (a resumed run's journal
+    records, by task index): those tasks are never run.  [on_fresh]
+    sees, in the calling process, every result that wins the first-wins
+    merge — after each task in-process, as results arrive from workers,
+    and in the final sweep — which is where a run journals them. *)
 val run_tasks :
   jobs:int ->
   ?deadline:float ->
   ?max_respawns:int ->
   ?mem_limit:int ->
   ?cpu_limit:int ->
+  ?resolved:(int * result) list ->
+  ?on_fresh:(int -> result -> unit) ->
   task array ->
   result option array
 
@@ -164,6 +174,11 @@ type fleet
 
 (** One worker connection. *)
 type peer
+
+(** [preresolved n resolved]: the state of an [n]-task run with the
+    [(index, result)] pairs of [resolved] already merged, so they are
+    never leased or swept. *)
+val preresolved : int -> (int * result) list -> result Supervise.t
 
 (** [fleet ~who ~stamp st tasks]: notices are prefixed [who ^ ": "];
     every heartbeat and result must echo [stamp]; [deadline] is the

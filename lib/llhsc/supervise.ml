@@ -34,7 +34,7 @@ module Lease = struct
     if List.mem_assoc task l.items then start l task now
 
   let finish l task = l.items <- List.remove_assoc task l.items
-  let tasks l = List.map fst l.items
+  let leased l = List.map fst l.items
   let count l = List.length l.items
 
   let expired l ~deadline ~now =

@@ -27,7 +27,7 @@ module Lease : sig
   (** Drop the lease (task completed or reassigned elsewhere). *)
   val finish : t -> int -> unit
 
-  val tasks : t -> int list
+  val leased : t -> int list
   val count : t -> int
 
   (** Tasks whose clock has outlived [deadline] seconds. *)

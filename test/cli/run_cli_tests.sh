@@ -287,6 +287,32 @@ cmp -s "$TMP/journal1.out" "$TMP/killed-resume.out" \
 grep -q "skipping .* torn/corrupt line" "$TMP/killed-resume.err" \
   || fail "expected the quiet-fsck torn-line notice on resume stderr"
 
+echo "# journal + edited /include/: resume re-checks instead of replaying a stale pass"
+mkdir "$TMP/inc"
+cp -R "$FIXTURES"/. "$TMP/inc/"
+run_inc_pipeline() {
+  "$LLHSC" pipeline --core "$TMP/inc/custom-sbc.dts" --deltas "$TMP/inc/custom-sbc.deltas" \
+    --model "$TMP/inc/custom-sbc.fm" --schemas "$TMP/inc/schemas" \
+    --vm "memory,cpu@0,uart@20000000,uart@30000000,veth0" \
+    --vm "memory,cpu@1,uart@20000000,uart@30000000,veth1" \
+    --exclusive cpus "$@"
+}
+run_inc_pipeline --journal "$TMP/inc.journal" > /dev/null 2>&1 \
+  || fail "journaled pipeline on the fixture copy should pass"
+sed 's/"arm,cortex-a53"/"bogus,cpu"/' "$FIXTURES/cpus.dtsi" > "$TMP/inc/cpus.dtsi"
+set +e
+run_inc_pipeline > "$TMP/inc-fresh.out" 2> /dev/null
+rc=$?
+run_inc_pipeline --journal "$TMP/inc.journal" --resume > "$TMP/inc-resume.out" 2> /dev/null
+rrc=$?
+set -e
+[ "$rc" -eq 1 ] || fail "fresh run with the edited include should exit 1 (got $rc)"
+grep -q "node violates schema cpu" "$TMP/inc-fresh.out" \
+  || fail "expected the schema violation from the edited include"
+[ "$rrc" -eq 1 ] || fail "resume after editing the include should exit 1 (got $rrc)"
+cmp -s "$TMP/inc-fresh.out" "$TMP/inc-resume.out" \
+  || fail "resume after editing the include differs from a fresh run"
+
 echo "# retry: escalation recovers injected Unknown verdicts"
 "$LLHSC" pipeline --core "$FIXTURES/custom-sbc.dts" --deltas "$FIXTURES/custom-sbc.deltas" \
   --model "$FIXTURES/custom-sbc.fm" --schemas "$FIXTURES/schemas" \

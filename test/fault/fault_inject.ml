@@ -246,11 +246,11 @@ let run_solver_mutations binary sandbox ~failures ~total =
 (* --- kill-and-resume phase ------------------------------------------------------ *)
 
 (* Crash-safety contract of the --journal/--resume pipeline: SIGKILL the
-   run at a seeded point (after the n-th fsync'd record, or halfway through
-   writing it), then resume from the journal; the resumed run's stdout and
-   exit code must be byte-identical to an uninterrupted run.  Runs without
-   --certify/--retry, whose reports legitimately depend on how much solver
-   work the resumed run skipped. *)
+   run at a seeded point (after the n-th fsync'd task record, or halfway
+   through writing it), then resume from the journal; the resumed run's
+   stdout and exit code must be byte-identical to an uninterrupted run —
+   certificates and retry logs included, since the journal records them
+   with each task's result. *)
 
 let pipeline_args dir ~vms ~journal ~resume =
   let p f = Filename.concat dir f in
@@ -261,15 +261,40 @@ let pipeline_args dir ~vms ~journal ~resume =
   @ (match journal with None -> [] | Some j -> [ "--journal"; j ])
   @ (if resume then [ "--resume" ] else [])
 
-(* (label, VM feature selections, journal records the run writes:
-   one per product + one for the partition check). *)
+(* (label, VM feature selections, extra pipeline flags). *)
 let kill_configs =
-  [ ("two-vm",
-     [ "memory,cpu@0,uart@20000000,uart@30000000,veth0";
-       "memory,cpu@1,uart@20000000,uart@30000000,veth1" ], 4);
-    ("two-vm-partial",
-     [ "memory,cpu@0,veth0"; "memory,cpu@1,veth1" ], 4);
-    ("one-vm", [ "memory,cpu@0,uart@20000000" ], 3) ]
+  let two_vm =
+    [ "memory,cpu@0,uart@20000000,uart@30000000,veth0";
+      "memory,cpu@1,uart@20000000,uart@30000000,veth1" ]
+  in
+  [ ("two-vm", two_vm, []);
+    ("two-vm-partial", [ "memory,cpu@0,veth0"; "memory,cpu@1,veth1" ], []);
+    ("one-vm", [ "memory,cpu@0,uart@20000000" ], []);
+    ("two-vm-certify-retry", two_vm,
+     [ "--certify"; "--retry"; "3"; "--max-conflicts"; "50" ]);
+    (* A budget of 50 conflicts never runs out on this fixture; one of 1
+       does, so the resumed report must also reproduce the retry log. *)
+    ("two-vm-certify-retry-tight", two_vm,
+     [ "--certify"; "--retry"; "3"; "--max-conflicts"; "1" ]) ]
+
+(* The number of task records an uninterrupted journaled run of [args]
+   writes, as `llhsc journal fsck` counts them: every kill point then
+   lands inside the sweep, however the run slices its tasks. *)
+let journal_records binary sandbox args =
+  let journal = Filename.concat sandbox "census.jsonl" in
+  let out = Filename.concat sandbox "census.out" in
+  let stderr_file = Filename.concat sandbox "stderr.txt" in
+  if Sys.file_exists journal then Sys.remove journal;
+  ignore (run_cli binary (args @ [ "--journal"; journal ]) ~stderr_file);
+  ignore (run_cli binary ~stdout_file:out [ "journal"; "fsck"; journal ] ~stderr_file);
+  Sys.remove journal;
+  match
+    List.find_map
+      (fun l -> Scanf.sscanf_opt (String.trim l) "records: %d" Fun.id)
+      (String.split_on_char '\n' (read_file out))
+  with
+  | Some n when n > 0 -> n
+  | _ -> failwith ("journal fsck reported no records for: " ^ String.concat " " args)
 
 let run_kill_resume binary sandbox ~failures ~total =
   let stderr_file = Filename.concat sandbox "stderr.txt" in
@@ -277,11 +302,12 @@ let run_kill_resume binary sandbox ~failures ~total =
   let base_out = Filename.concat sandbox "base.out" in
   let res_out = Filename.concat sandbox "resume.out" in
   List.iter
-    (fun (label, vms, records) ->
+    (fun (label, vms, extra) ->
+      let args ~journal ~resume = pipeline_args sandbox ~vms ~journal ~resume @ extra in
+      let records = journal_records binary sandbox (args ~journal:None ~resume:false) in
       (* Uninterrupted baseline, no journal: the byte-identity reference. *)
       let base_status, _ =
-        run_cli binary ~stdout_file:base_out
-          (pipeline_args sandbox ~vms ~journal:None ~resume:false)
+        run_cli binary ~stdout_file:base_out (args ~journal:None ~resume:false)
           ~stderr_file
       in
       let baseline = read_file base_out in
@@ -301,8 +327,7 @@ let run_kill_resume binary sandbox ~failures ~total =
             let kill_status, kerr =
               run_cli binary
                 ~env:[ Printf.sprintf "%s=%d" hook n ]
-                (pipeline_args sandbox ~vms ~journal:(Some journal)
-                   ~resume:false)
+                (args ~journal:(Some journal) ~resume:false)
                 ~stderr_file
             in
             (match kill_status with
@@ -311,8 +336,7 @@ let run_kill_resume binary sandbox ~failures ~total =
                bad "kill hook did not SIGKILL the run" kerr);
             let res_status, rerr =
               run_cli binary ~stdout_file:res_out
-                (pipeline_args sandbox ~vms ~journal:(Some journal)
-                   ~resume:true)
+                (args ~journal:(Some journal) ~resume:true)
                 ~stderr_file
             in
             if res_status <> base_status then
@@ -844,10 +868,11 @@ let run_disk_faults binary sandbox ~failures ~total =
     |> String.concat "\n"
   in
   List.iter
-    (fun (label, vms, records) ->
+    (fun (label, vms, extra) ->
+      let args ~journal ~resume = pipeline_args sandbox ~vms ~journal ~resume @ extra in
+      let records = journal_records binary sandbox (args ~journal:None ~resume:false) in
       let base_status, _ =
-        run_cli binary ~stdout_file:base_out
-          (pipeline_args sandbox ~vms ~journal:None ~resume:false)
+        run_cli binary ~stdout_file:base_out (args ~journal:None ~resume:false)
           ~stderr_file
       in
       let baseline = read_file base_out in
@@ -862,7 +887,7 @@ let run_disk_faults binary sandbox ~failures ~total =
             let status, err =
               run_cli binary ~stdout_file:out_file
                 ~env:[ Printf.sprintf "LLHSC_FAULT_FS=%s@%d" kind n ]
-                (pipeline_args sandbox ~vms ~journal:(Some journal) ~resume:false)
+                (args ~journal:(Some journal) ~resume:false)
                 ~stderr_file
             in
             let stdout = read_file out_file in
@@ -884,7 +909,7 @@ let run_disk_faults binary sandbox ~failures ~total =
               incr total;
               let res_status, rerr =
                 run_cli binary ~stdout_file:res_out
-                  (pipeline_args sandbox ~vms ~journal:(Some journal) ~resume:true)
+                  (args ~journal:(Some journal) ~resume:true)
                   ~stderr_file
               in
               if res_status <> base_status then
@@ -906,7 +931,7 @@ let run_disk_faults binary sandbox ~failures ~total =
       if Sys.file_exists journal then Sys.remove journal;
       let status, err =
         run_cli binary ~stdout_file:out_file ~env:[ "LLHSC_FAULT_FS=erofs@1" ]
-          (pipeline_args sandbox ~vms ~journal:(Some journal) ~resume:false)
+          (args ~journal:(Some journal) ~resume:false)
           ~stderr_file
       in
       (match status with

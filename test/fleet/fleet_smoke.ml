@@ -285,8 +285,9 @@ let () =
   ignore (check ~name:"cert-kill" ~base:base_cert r);
 
   (* Journal resume: a completed --jobs 1 journal replayed through the
-     fleet — the skip list rides the spec, workers plan the replayed
-     products as no-work, and the resumed report matches the original. *)
+     fleet — the skip list rides the spec, workers plan the products
+     replayed whole as no-work, and the resumed report matches the
+     original. *)
   let jdir = scenario_dir "journal" in
   let j1 = Filename.concat jdir "run.jsonl" in
   let code =
@@ -397,11 +398,12 @@ let () =
       reap w)
     [ 1; 2 ];
 
-  (* Dispatcher crash-recovery: SIGTERM (via the fault hook) after two
-     task results are journalled, then a --resume successor on the same
-     port file.  The surviving worker re-reads the port, re-handshakes,
-     and the resumed run replays the two completed tasks instead of
-     re-running them — byte-identical to the baseline. *)
+  (* Dispatcher crash-recovery: SIGTERM (via the journal's fault hook)
+     after two task results are journalled, then a --resume successor on
+     the same port file.  The surviving worker re-reads the port,
+     re-handshakes, and the resumed run replays the two completed tasks
+     from the one --journal file instead of re-running them —
+     byte-identical to the baseline. *)
   say "schedule: term-resume";
   let dir = scenario_dir "term-resume" in
   let pf = Filename.concat dir "port" in
@@ -409,7 +411,7 @@ let () =
   let out1 = Filename.concat dir "report1.txt" in
   let err1 = Filename.concat dir "dispatch1.err" in
   let dpid =
-    spawn ~env:[ "LLHSC_FAULT_TERM_AFTER_TASKS=2" ] ~out:out1 ~err:err1
+    spawn ~env:[ "LLHSC_FAULT_TERM_AFTER_RECORDS=2" ] ~out:out1 ~err:err1
       (("dispatch" :: "--listen" :: "127.0.0.1:0" :: "--port-file" :: pf
         :: "--wait-workers" :: "30" :: "--journal" :: jj
         :: "--secret-file" :: secret_file :: [])
@@ -426,8 +428,6 @@ let () =
   (match wait_exit ~what:"terminated dispatcher" dpid with
    | 143 -> ()
    | c -> fail "term-resume: dispatcher exited %d, want 143 (128+SIGTERM)" c);
-  if not (Sys.file_exists (jj ^ ".tasks")) then
-    fail "term-resume: no task journal at %s.tasks" jj;
   Sys.remove pf;
   let out2 = Filename.concat dir "report2.txt" in
   let err2 = Filename.concat dir "dispatch2.err" in
@@ -440,7 +440,7 @@ let () =
   in
   let code = wait_exit ~what:"resumed dispatcher" dpid in
   ignore (check ~name:"term-resume" ~base (code, out2, err2, []));
-  expect_notice ~name:"term-resume" err2 "resume: replayed 2 task result(s)";
+  expect_notice ~name:"term-resume" err2 "resume: replayed from journal: 2 task result(s)";
   (match wait_exit ~what:"surviving worker" w with
    | 0 -> ()
    | c -> fail "term-resume: surviving worker exited %d, want 0 (retired)" c);

@@ -285,13 +285,19 @@ let test_lease_clock () =
   Alcotest.(check (list int)) "beat deferred expiry" [ 9 ]
     (Supervise.Lease.expired l ~deadline:2.5 ~now:104.0);
   Supervise.Lease.finish l 9;
-  Alcotest.(check (list int)) "finish drops" [ 7 ] (Supervise.Lease.tasks l)
+  Alcotest.(check (list int)) "finish drops" [ 7 ] (Supervise.Lease.leased l)
 
 (* --- journal per-line checksums ---------------------------------------------- *)
 
 let entry name : Journal.entry =
-  { Journal.kind = Journal.Product; name; hash = "h-" ^ name; features = [ "f" ];
-    order = []; findings = []; certified = false; cert_failures = 0 }
+  { Journal.hash = "h-" ^ name;
+    ordinal = 0;
+    result =
+      { Llhsc.Shard.product = name; findings = []; errors = []; queries = 0; certs = [];
+        cert_failures = []; retried = [] } }
+
+let names entries =
+  List.map (fun (e : Journal.entry) -> e.Journal.result.Llhsc.Shard.product) entries
 
 let read_lines path =
   let ic = open_in path in
@@ -328,8 +334,7 @@ let test_journal_checksummed_lines () =
        [ l1; l2 ]
    | ls -> Alcotest.failf "expected 3 lines, got %d" (List.length ls));
   let loaded = Journal.load ~path ~inputs_hash:"ih" in
-  Alcotest.(check (list string)) "loads back" [ "vm1"; "vm2" ]
-    (List.map (fun (e : Journal.entry) -> e.Journal.name) loaded)
+  Alcotest.(check (list string)) "loads back" [ "vm1"; "vm2" ] (names loaded)
 
 let test_journal_corrupt_line_skipped () =
   with_tmp @@ fun path ->
@@ -360,20 +365,30 @@ let test_journal_corrupt_line_skipped () =
   close_out oc;
   let loaded = Journal.load ~path ~inputs_hash:"ih" in
   Alcotest.(check (list string)) "corrupt record skipped, rest kept" [ "vm2" ]
-    (List.map (fun (e : Journal.entry) -> e.Journal.name) loaded)
+    (names loaded)
 
-let test_journal_backward_compat () =
+let test_journal_old_format_refused () =
   with_tmp @@ fun path ->
-  (* Hand-write an old-format (checksum-less) journal; load must accept it. *)
+  (* Hand-write a version-1 journal (one checksum-less findings-only
+     record per product): its records are not task results, so load must
+     refuse the whole file rather than misread it. *)
   let oc = open_out path in
   output_string oc "{\"llhsc-journal\":1,\"inputs\":\"ih\"}\n";
   output_string oc
     "{\"kind\":\"product\",\"name\":\"old\",\"hash\":\"h\",\"features\":[],\
      \"order\":[],\"findings\":[],\"certified\":false,\"cert_failures\":0}\n";
   close_out oc;
-  let loaded = Journal.load ~path ~inputs_hash:"ih" in
-  Alcotest.(check (list string)) "old lines accepted" [ "old" ]
-    (List.map (fun (e : Journal.entry) -> e.Journal.name) loaded)
+  Alcotest.(check (list string)) "old journal refused" [] (names (Journal.load ~path ~inputs_hash:"ih"));
+  (match Journal.fsck ~path with
+   | Some r -> Alcotest.(check bool) "fsck: unrecognised header" true (r.Journal.header = `Bad)
+   | None -> Alcotest.fail "fsck could not read the journal");
+  (* A new run's sink starts the file over instead of appending under the
+     old header, so the journal becomes resumable again. *)
+  let sink = Journal.open_ ~path ~inputs_hash:"ih" in
+  Journal.record sink (entry "vm1");
+  Journal.close sink;
+  Alcotest.(check (list string)) "restarted journal loads" [ "vm1" ]
+    (names (Journal.load ~path ~inputs_hash:"ih"))
 
 (* --- spec round-trip ---------------------------------------------------------- *)
 
@@ -466,7 +481,7 @@ let () =
       ( "journal-crc",
         [ Alcotest.test_case "lines checksummed" `Quick test_journal_checksummed_lines;
           Alcotest.test_case "corrupt line skipped" `Quick test_journal_corrupt_line_skipped;
-          Alcotest.test_case "old format accepted" `Quick test_journal_backward_compat ] );
+          Alcotest.test_case "old format refused" `Quick test_journal_old_format_refused ] );
       ( "spec",
         [ Alcotest.test_case "json roundtrip + hash" `Quick test_spec_roundtrip ] );
       ( "setup-cache",

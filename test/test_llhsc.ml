@@ -577,6 +577,16 @@ let with_temp_journal f =
 
 let quad_inputs_hash = J.inputs_hash ~parts:[ "test-quad"; Llhsc.Quad_rv64.core_dts ]
 
+let task_entry ~hash ?(ordinal = 0) ?(findings = []) ?(queries = 0) ?(certs = [])
+    ?(retried = []) product =
+  { J.hash;
+    ordinal;
+    result =
+      { Llhsc.Shard.product; findings; errors = []; queries; certs; cert_failures = [];
+        retried } }
+
+let owners entries = List.map (fun (e : J.entry) -> e.J.result.Llhsc.Shard.product) entries
+
 let sample_entries ~inputs_hash =
   (* The first finding deliberately stresses the JSON layer: quotes,
      backslashes, control characters and multi-byte UTF-8 in every string
@@ -589,25 +599,22 @@ let sample_entries ~inputs_hash =
       "quote \" backslash \\ newline \n tab \t e-acute \xc3\xa9 ctrl \x01 end"
   in
   let plain = Rep.finding ~checker:"alloc" ~node_path:"/memory@80000000" "%s" "plain error" in
-  [ { J.kind = J.Product;
-      name = "vm1";
-      hash = J.product_hash ~inputs_hash ~name:"vm1" ~features:[ "cpu@0"; "uart0" ];
-      features = [ "cpu@0"; "uart0" ];
-      order = [ "d1"; "d2" ];
-      findings = [ weird; plain ];
-      certified = true;
-      cert_failures = 0
-    };
-    { J.kind = J.Partition;
-      name = "partition";
-      hash = J.partition_hash ~inputs_hash ~products:[ ("vm1", [ "cpu@0" ]) ];
-      features = [];
-      order = [];
-      findings = [];
-      certified = false;
-      cert_failures = 2
-    }
-  ]
+  (* Certificates and retry logs ride along: a resumed certifying run
+     replays them instead of dropping them. *)
+  let cert =
+    { Smt.Solver.query = 1; verdict = `Unsat; steps = 42; time = 0.125; ok = true }
+  in
+  let attempt =
+    { Smt.Solver.attempt = 2; scale = 4; seed = Some 7; polarity = Sat.Solver.Phase_random;
+      result = `Sat; conflicts = 9; time = 1.5e-3 }
+  in
+  [ task_entry
+      ~hash:(J.product_hash ~inputs_hash ~name:"vm1" ~features:[ "cpu@0"; "uart0" ])
+      ~ordinal:1 ~findings:[ weird; plain ] ~queries:2 ~certs:[ cert ]
+      ~retried:[ { Smt.Solver.rquery = 0; attempts = [ attempt ]; recovered = true } ]
+      "vm1";
+    task_entry ~hash:(J.partition_hash ~inputs_hash ~products:[ ("vm1", [ "cpu@0" ]) ])
+      "partition" ]
 
 let test_journal_roundtrip () =
   with_temp_journal @@ fun path ->
@@ -620,7 +627,8 @@ let test_journal_roundtrip () =
   check_int "two entries" 2 (List.length loaded);
   List.iter2
     (fun (written : J.entry) (got : J.entry) ->
-      check_bool ("entry " ^ written.J.name ^ " round-trips") true (written = got))
+      check_bool ("entry " ^ written.J.result.Llhsc.Shard.product ^ " round-trips") true
+        (written = got))
     entries loaded
 
 let test_journal_tolerates_torn_tail () =
@@ -631,18 +639,20 @@ let test_journal_tolerates_torn_tail () =
   J.close sink;
   (* Simulate a crash mid-write: half a record, no trailing newline. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc {|{"kind":"product","name":"vm2","ha|};
+  output_string oc {|{"hash":"torn","task":0,"r":{"product":"vm2","fi|};
   close_out oc;
   let loaded = J.load ~path ~inputs_hash in
   check_int "torn tail skipped" 2 (List.length loaded);
-  check_bool "torn record absent" true (J.find loaded J.Product "vm2" = None)
+  check_bool "torn record absent" true (not (List.mem "vm2" (owners loaded)))
 
 let test_journal_last_record_wins () =
   with_temp_journal @@ fun path ->
   let inputs_hash = quad_inputs_hash in
   let entries = sample_entries ~inputs_hash in
   let first = List.hd entries in
-  let updated = { first with J.findings = []; cert_failures = 7 } in
+  let updated =
+    { first with J.result = { first.J.result with Llhsc.Shard.findings = []; queries = 7 } }
+  in
   let sink = J.open_ ~path ~inputs_hash in
   J.record sink first;
   J.record sink (List.nth entries 1);
@@ -650,10 +660,14 @@ let test_journal_last_record_wins () =
   J.close sink;
   let loaded = J.load ~path ~inputs_hash in
   check_int "still two entries" 2 (List.length loaded);
-  match J.find loaded J.Product "vm1" with
+  match
+    List.find_opt
+      (fun (e : J.entry) -> e.J.hash = first.J.hash && e.J.ordinal = first.J.ordinal)
+      loaded
+  with
   | Some e ->
-    check_int "latest record wins" 7 e.J.cert_failures;
-    check_bool "latest findings win" true (e.J.findings = [])
+    check_int "latest record wins" 7 e.J.result.Llhsc.Shard.queries;
+    check_bool "latest findings win" true (e.J.result.Llhsc.Shard.findings = [])
   | None -> Alcotest.fail "vm1 entry missing"
 
 let test_journal_stale_inputs_hash () =
@@ -842,39 +856,60 @@ let prop_journal_corruption_safe =
 
 let all_quad_record_names = [ "partition"; "platform"; "vm1"; "vm2"; "vm3" ]
 
-let quad_journal_entries path =
+let quad_journal_entries ?(certify = false) path =
   let inputs_hash = quad_inputs_hash in
   let sink = J.open_ ~path ~inputs_hash in
-  let baseline = Q.run_pipeline ~inputs_hash ~journal:sink () in
+  let baseline = Q.run_pipeline ~certify ~inputs_hash ~journal:sink () in
   J.close sink;
   (baseline, J.load ~path ~inputs_hash)
+
+let replayed_owners (o : Llhsc.Pipeline.outcome) =
+  List.sort_uniq compare o.Llhsc.Pipeline.replayed
 
 let test_resume_replays_byte_identical () =
   with_temp_journal @@ fun path ->
   let baseline, entries = quad_journal_entries path in
-  check_int "four products + partition journaled" 5 (List.length entries);
+  check_bool "every task and the partition journaled" true
+    (List.sort_uniq compare (owners entries) = all_quad_record_names);
   let resumed = Q.run_pipeline ~inputs_hash:quad_inputs_hash ~resume:entries () in
-  check_bool "everything replayed" true
-    (List.sort compare resumed.Llhsc.Pipeline.replayed = all_quad_record_names);
+  check_int "every record replayed" (List.length entries)
+    (List.length resumed.Llhsc.Pipeline.replayed);
+  check_bool "everything replayed" true (replayed_owners resumed = all_quad_record_names);
   check_bool "ok" true (Llhsc.Pipeline.ok resumed);
   Alcotest.(check string) "byte-identical report" (outcome_string baseline)
+    (outcome_string resumed)
+
+let test_resume_replays_certificates () =
+  with_temp_journal @@ fun path ->
+  let baseline, entries = quad_journal_entries ~certify:true path in
+  let resumed =
+    Q.run_pipeline ~certify:true ~inputs_hash:quad_inputs_hash ~resume:entries ()
+  in
+  check_int "every record replayed" (List.length entries)
+    (List.length resumed.Llhsc.Pipeline.replayed);
+  (match resumed.Llhsc.Pipeline.cert with
+  | Some c -> check_int "the 51 certificates replayed" 51 (List.length c.Smt.Solver.certs)
+  | None -> Alcotest.fail "certifying resume must expose a cert report");
+  Alcotest.(check string) "byte-identical certified report" (outcome_string baseline)
     (outcome_string resumed)
 
 let test_resume_stale_entry_rechecked () =
   with_temp_journal @@ fun path ->
   let baseline, entries = quad_journal_entries path in
-  (* A hash mismatch marks vm2's entry stale: vm2 must be re-checked while
-     the rest still replays, and the report must not change. *)
+  (* A hash mismatch marks vm2's records stale: vm2 must be re-checked
+     while the rest still replays, and the report must not change. *)
   let tampered =
     List.map
-      (fun (e : J.entry) -> if e.J.name = "vm2" then { e with J.hash = "stale" } else e)
+      (fun (e : J.entry) ->
+        if e.J.result.Llhsc.Shard.product = "vm2" then { e with J.hash = "stale" } else e)
       entries
   in
   let resumed = Q.run_pipeline ~inputs_hash:quad_inputs_hash ~resume:tampered () in
   check_bool "vm2 re-checked" true
     (not (List.mem "vm2" resumed.Llhsc.Pipeline.replayed));
   check_bool "others replayed" true
-    (List.sort compare ("vm2" :: resumed.Llhsc.Pipeline.replayed) = all_quad_record_names);
+    (List.sort_uniq compare ("vm2" :: resumed.Llhsc.Pipeline.replayed)
+    = all_quad_record_names);
   Alcotest.(check string) "report unchanged" (outcome_string baseline)
     (outcome_string resumed)
 
@@ -893,30 +928,31 @@ let test_resume_never_fabricates_certificates () =
   | Some c -> check_bool "fresh certificates" true (c.Smt.Solver.certs <> [])
   | None -> Alcotest.fail "certifying resume must expose a cert report"
 
-(* Satellite (c): --resume is idempotent, and corrupt/stale journal entries
-   are re-checked rather than replayed — under random per-entry staleness. *)
+(* --resume is idempotent, and stale journal records are re-checked
+   rather than replayed — under random per-record staleness, certifying
+   or not: a certified resume replays the recorded certificates and
+   renumbers them into the same report. *)
 let prop_resume_idempotent =
   QCheck.Test.make ~count:6 ~name:"resume idempotent; stale entries re-checked"
-    QCheck.(list_of_size Gen.(int_range 0 5) bool)
-    (fun mask ->
+    QCheck.(pair bool (list_of_size Gen.(int_range 0 24) bool))
+    (fun (certify, mask) ->
       with_temp_journal @@ fun path ->
-      let baseline, entries = quad_journal_entries path in
+      let baseline, entries = quad_journal_entries ~certify path in
       let stale i = List.nth_opt mask i = Some true in
       let tampered =
         List.mapi
           (fun i (e : J.entry) -> if stale i then { e with J.hash = "stale" } else e)
           entries
       in
-      let stale_names =
-        List.filteri (fun i _ -> stale i) (List.map (fun (e : J.entry) -> e.J.name) entries)
+      let n_stale = List.length (List.filteri (fun i _ -> stale i) entries) in
+      let resume () =
+        Q.run_pipeline ~certify ~inputs_hash:quad_inputs_hash ~resume:tampered ()
       in
-      let r1 = Q.run_pipeline ~inputs_hash:quad_inputs_hash ~resume:tampered () in
-      let r2 = Q.run_pipeline ~inputs_hash:quad_inputs_hash ~resume:tampered () in
+      let r1 = resume () in
+      let r2 = resume () in
       outcome_string r1 = outcome_string baseline
       && outcome_string r2 = outcome_string r1
-      && List.for_all
-           (fun n -> not (List.mem n r1.Llhsc.Pipeline.replayed))
-           stale_names)
+      && List.length r1.Llhsc.Pipeline.replayed = List.length entries - n_stale)
 
 (* Tight enough that several of the per-task (fresh-solver) queries
    exhaust it, loose enough that the x4-per-rung escalation ladder
@@ -1193,6 +1229,7 @@ let () =
       ( "resume",
         [
           Alcotest.test_case "replays byte-identical" `Quick test_resume_replays_byte_identical;
+          Alcotest.test_case "replays certificates" `Quick test_resume_replays_certificates;
           Alcotest.test_case "stale entry re-checked" `Quick test_resume_stale_entry_rechecked;
           Alcotest.test_case "never fabricates certificates" `Quick
             test_resume_never_fabricates_certificates;
